@@ -64,18 +64,6 @@ struct RawSubTask {
   std::vector<RawBlock> blocks;  // parallel to plan.blocks
 };
 
-// One output data block, fully encoded for S7: compressed payload,
-// 5-byte trailer (type + masked CRC), and the exact last internal key for
-// the index entry.
-struct EncodedBlock {
-  std::string payload;    // compressed bytes + trailer
-  std::string first_key;  // internal key of the block's first entry
-  std::string last_key;   // internal key of the block's final entry
-  std::string filter;     // per-block bloom filter (empty if no policy)
-  uint64_t raw_size = 0;
-  uint64_t entries = 0;
-};
-
 // S2..S6 output for one sub-task.
 struct ComputedSubTask {
   uint64_t seq = 0;
@@ -146,8 +134,9 @@ struct CompactionJobOptions {
   std::string range_lo_user_key;
   std::string range_hi_user_key;
 
-  // Optional: per-block bloom filters for the output tables, created in
-  // the compute stage (so S7 stays write-only). Pass the same (wrapped)
+  // Optional: bloom filters for the output tables. The compute stage
+  // ships each block's keys and S7's TableBuilder builds the filter block,
+  // so filter building counts as write time. Pass the same (wrapped)
   // policy the table readers use. nullptr = no filter blocks.
   const class FilterPolicy* filter_policy = nullptr;
 

@@ -6,13 +6,33 @@
 
 namespace pipelsm {
 
+namespace {
+
+TableOptions OutputTableOptions(const CompactionJobOptions& options) {
+  TableOptions t;
+  t.comparator = options.icmp;
+  t.filter_policy = options.filter_policy;
+  t.filter_partition_bytes = options.filter_partition_bytes;
+  t.block_size = options.block_size;
+  t.block_restart_interval = options.block_restart_interval;
+  t.compression = options.compression;
+  return t;
+}
+
+}  // namespace
+
 WriteStage::WriteStage(const CompactionJobOptions& options,
                        CompactionSink* sink)
-    : options_(options), sink_(sink) {}
+    : options_(options),
+      table_options_(OutputTableOptions(options)),
+      sink_(sink) {}
 
 WriteStage::~WriteStage() {
   // A failed compaction may abandon an open output; drop it quietly (the
   // driver deletes orphaned files).
+  if (builder_ != nullptr) {
+    builder_->Abandon();
+  }
   if (file_ != nullptr) {
     file_->Close();
   }
@@ -43,14 +63,13 @@ Status WriteStage::WriteOrdered(ComputedSubTask& task) {
     Status s = RotateIfNeeded();
     if (!s.ok()) return s;
 
-    if (!have_current_) {
+    if (builder_ == nullptr) {
       uint64_t number;
       s = sink_->NewOutputFile(&number, &file_);
       if (!s.ok()) return s;
-      writer_.reset(new RawTableWriter(options_, file_.get()));
+      builder_.reset(new TableBuilder(table_options_, file_.get()));
       current_ = OutputMeta{};
       current_.file_number = number;
-      have_current_ = true;
     }
 
     if (current_.entries == 0) {
@@ -59,8 +78,9 @@ Status WriteStage::WriteOrdered(ComputedSubTask& task) {
       current_.smallest.DecodeFrom(block.first_key);
     }
     Stopwatch sw;
-    s = writer_->AddBlock(block);
+    builder_->AddBlock(block);
     profile_.AddStep(kStepWrite, sw.ElapsedNanos(), block.payload.size());
+    s = builder_->status();
     if (!s.ok()) return s;
     current_.entries += block.entries;
     current_.largest.DecodeFrom(block.last_key);
@@ -70,19 +90,21 @@ Status WriteStage::WriteOrdered(ComputedSubTask& task) {
 }
 
 Status WriteStage::RotateIfNeeded() {
-  if (have_current_ && writer_ != nullptr &&
-      writer_->FileSize() >= options_.max_output_file_size) {
+  if (builder_ != nullptr &&
+      builder_->FileSize() >= options_.max_output_file_size) {
     return FinishCurrentFile();
   }
   return Status::OK();
 }
 
 Status WriteStage::FinishCurrentFile() {
-  if (!have_current_) return Status::OK();
+  if (builder_ == nullptr) return Status::OK();
   obs::TraceSpan span(options_.trace, options_.trace_pid,
                       options_.trace_write_lane, "S7 finish file", "write");
   Stopwatch sw;
-  Status s = writer_->Finish();
+  // Finish() closes the builder whatever it returns.
+  const std::unique_ptr<TableBuilder> builder = std::move(builder_);
+  Status s = builder->Finish();
   if (s.ok()) {
     s = file_->Sync();
   }
@@ -91,11 +113,9 @@ Status WriteStage::FinishCurrentFile() {
   }
   profile_.AddStep(kStepWrite, sw.ElapsedNanos(), 0);
   if (!s.ok()) return s;
-  current_.file_size = writer_->FileSize();
+  current_.file_size = builder->FileSize();
   sink_->OutputFinished(current_);
-  writer_.reset();
   file_.reset();
-  have_current_ = false;
   return Status::OK();
 }
 

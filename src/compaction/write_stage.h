@@ -1,14 +1,15 @@
 // WriteStage: S7. Consumes ComputedSubTasks strictly in sub-task order
 // (callers with out-of-order completion use PushReordered, which buffers
 // until the next sequence number arrives), appends their encoded blocks to
-// the current output SSTable and rotates files at max_output_file_size.
+// the current output SSTable through a TableBuilder and rotates files at
+// max_output_file_size.
 #pragma once
 
 #include <map>
 #include <memory>
 
-#include "src/compaction/raw_table_writer.h"
 #include "src/compaction/types.h"
+#include "src/table/table_builder.h"
 
 namespace pipelsm {
 
@@ -36,15 +37,15 @@ class WriteStage {
   Status FinishCurrentFile();
 
   const CompactionJobOptions options_;
+  const TableOptions table_options_;
   CompactionSink* const sink_;
 
   uint64_t next_seq_ = 0;
   std::map<uint64_t, ComputedSubTask> pending_;
 
   std::unique_ptr<WritableFile> file_;
-  std::unique_ptr<RawTableWriter> writer_;
+  std::unique_ptr<TableBuilder> builder_;
   OutputMeta current_;
-  bool have_current_ = false;
   StepProfile profile_;
   bool closed_ = false;
 };

@@ -80,7 +80,9 @@ class Cache {
 // A lock-sharded LRU cache holding up to `capacity` total charge.
 // `num_shards` is rounded up to a power of two; 0 picks a default from
 // the hardware concurrency. `num_shards == 1` degenerates to a single
-// mutex — the bench baseline.
+// mutex — the bench baseline. The count is lowered as far as needed for
+// every shard to get a minimum capacity (32 charge units), so a small
+// cache stays one exact LRU; num_shards() reports the count in use.
 std::unique_ptr<Cache> NewShardedLRUCache(size_t capacity,
                                           size_t num_shards = 0);
 

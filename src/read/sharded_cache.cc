@@ -32,12 +32,26 @@ size_t DefaultShardCount() {
   return shards > 16 ? 16 : shards;
 }
 
+// A shard's capacity is its own LRU bound, so a shard holding only a few
+// charge units evicts by how keys hash rather than by recency. The table
+// cache charges one unit per open table, so e.g. 2 tables over 4 shards
+// would leave shards that cannot hold any table.
+constexpr size_t kMinShardCapacity = 32;
+
+// `requested` (0 = auto) rounded up to a power of two, then halved until
+// every shard gets at least kMinShardCapacity.
+size_t ShardCount(size_t capacity, size_t requested) {
+  size_t shards =
+      RoundUpToPowerOfTwo(requested == 0 ? DefaultShardCount() : requested);
+  while (shards > 1 && capacity / shards < kMinShardCapacity) shards >>= 1;
+  return shards;
+}
+
 class ShardedLRUCache final : public Cache {
  public:
   ShardedLRUCache(size_t capacity, size_t num_shards)
       : capacity_(capacity),
-        num_shards_(RoundUpToPowerOfTwo(
-            num_shards == 0 ? DefaultShardCount() : num_shards)),
+        num_shards_(ShardCount(capacity, num_shards)),
         shard_mask_(num_shards_ - 1),
         shards_(num_shards_) {
     // The remainder of an uneven split lands in shard 0 so the shard

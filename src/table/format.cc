@@ -101,6 +101,23 @@ Status DecodeRawBlock(const RawBlock& raw, std::string* contents) {
   return UncompressBlock(type, Slice(data, n), contents);
 }
 
+void EncodeBlock(CompressionType compression, const Slice& raw,
+                 std::string* out, StepProfile* profile) {
+  Stopwatch sw;
+  out->reserve(raw.size() + kBlockTrailerSize);
+  const CompressionType type = CompressBlock(compression, raw, out);
+  if (profile != nullptr) {
+    profile->AddStep(kStepCompress, sw.ElapsedNanos(), raw.size());
+    sw.Restart();
+  }
+  // The CRC covers the contents and the type byte.
+  out->push_back(static_cast<char>(type));
+  PutFixed32(out, crc32c::Mask(crc32c::Value(out->data(), out->size())));
+  if (profile != nullptr) {
+    profile->AddStep(kStepRechecksum, sw.ElapsedNanos(), out->size());
+  }
+}
+
 Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
                  bool verify_checksum, BlockContents* result) {
   result->data = Slice();

@@ -21,6 +21,7 @@
 #include "src/env/env.h"
 #include "src/util/slice.h"
 #include "src/util/status.h"
+#include "src/util/stopwatch.h"
 
 namespace pipelsm {
 
@@ -99,5 +100,26 @@ Status VerifyRawBlock(const RawBlock& raw);
 // S3: decompress a raw block's payload into *contents (which owns the
 // bytes).
 Status DecodeRawBlock(const RawBlock& raw, std::string* contents);
+
+// S5 + S6, the inverse of DecodeRawBlock + VerifyRawBlock and the only
+// producer of block trailers: replaces *out with `raw` compressed by
+// `compression` (stored raw when that does not pay off) followed by the
+// type byte and the masked CRC32C. When `profile` is non-null the two
+// halves are timed under kStepCompress and kStepRechecksum.
+void EncodeBlock(CompressionType compression, const Slice& raw,
+                 std::string* out, StepProfile* profile = nullptr);
+
+// One data block ready to be appended to a table file, with what the
+// table needs to index and filter it. TableBuilder::Add() cuts and
+// encodes its own; the compaction compute stage ships them to S7.
+struct EncodedBlock {
+  std::string payload;    // EncodeBlock output: contents + trailer
+  std::string first_key;  // the block's first key
+  std::string last_key;   // the block's last key
+  // The block's keys, each length-prefixed, for the table's filter
+  // block; empty when the table has no filter policy.
+  std::string keys;
+  uint64_t entries = 0;
+};
 
 }  // namespace pipelsm

@@ -5,9 +5,7 @@
 #include "src/table/block_builder.h"
 #include "src/table/filter_block.h"
 #include "src/table/filter_policy.h"
-#include "src/table/format.h"
 #include "src/util/coding.h"
-#include "src/util/crc32c.h"
 
 namespace pipelsm {
 
@@ -30,9 +28,10 @@ struct TableBuilder::Rep {
   uint64_t offset = 0;
   Status status;
   BlockBuilder data_block;
+  EncodedBlock block;  // keys and count of data_block; payload at Flush()
   BlockBuilder index_block;
-  std::string last_key;
-  uint64_t num_entries;
+  std::string last_key;  // last key of the last appended block
+  uint64_t num_entries;  // in appended blocks
   bool closed;  // Either Finish() or Abandon() has been called.
   std::unique_ptr<FilterBlockBuilder> filter_block;
 
@@ -41,7 +40,7 @@ struct TableBuilder::Rep {
   bool pending_index_entry;
   BlockHandle pending_handle;
 
-  std::string compressed_output;
+  std::string encoded_output;
 };
 
 TableBuilder::TableBuilder(const TableOptions& options, WritableFile* file)
@@ -59,25 +58,20 @@ void TableBuilder::Add(const Slice& key, const Slice& value) {
   Rep* r = rep_.get();
   assert(!r->closed);
   if (!ok()) return;
-  if (r->num_entries > 0) {
-    assert(r->options.comparator->Compare(key, Slice(r->last_key)) > 0);
-  }
+  EncodedBlock& b = r->block;
+  assert(NumEntries() == 0 ||
+         r->options.comparator->Compare(
+             key, r->data_block.empty() ? Slice(r->last_key)
+                                        : Slice(b.last_key)) > 0);
 
-  if (r->pending_index_entry) {
-    assert(r->data_block.empty());
-    r->options.comparator->FindShortestSeparator(&r->last_key, key);
-    std::string handle_encoding;
-    r->pending_handle.EncodeTo(&handle_encoding);
-    r->index_block.Add(r->last_key, Slice(handle_encoding));
-    r->pending_index_entry = false;
+  if (r->data_block.empty()) {
+    b.first_key.assign(key.data(), key.size());
   }
-
+  b.last_key.assign(key.data(), key.size());
   if (r->filter_block != nullptr) {
-    r->filter_block->AddKey(key);
+    PutLengthPrefixedSlice(&b.keys, key);
   }
-
-  r->last_key.assign(key.data(), key.size());
-  r->num_entries++;
+  b.entries++;
   r->data_block.Add(key, value);
 
   const size_t estimated_block_size = r->data_block.CurrentSizeEstimate();
@@ -91,10 +85,44 @@ void TableBuilder::Flush() {
   assert(!r->closed);
   if (!ok()) return;
   if (r->data_block.empty()) return;
-  assert(!r->pending_index_entry);
-  WriteBlock(&r->data_block, &r->pending_handle);
+  EncodedBlock& b = r->block;
+  EncodeBlock(r->options.compression, r->data_block.Finish(), &b.payload);
+  r->data_block.Reset();
+  AddBlock(b);
+  b.keys.clear();
+  b.entries = 0;
+}
+
+void TableBuilder::AddBlock(const EncodedBlock& block) {
+  Rep* r = rep_.get();
+  assert(!r->closed);
+  if (!ok()) return;
+
+  if (r->pending_index_entry) {
+    assert(r->options.comparator->Compare(block.first_key, r->last_key) > 0);
+    r->options.comparator->FindShortestSeparator(&r->last_key,
+                                                 block.first_key);
+    std::string handle_encoding;
+    r->pending_handle.EncodeTo(&handle_encoding);
+    r->index_block.Add(r->last_key, Slice(handle_encoding));
+    r->pending_index_entry = false;
+  }
+
+  if (r->filter_block != nullptr) {
+    // Blocks starting in the same filter window share one filter: the
+    // builder only generates it once a later block starts past the window.
+    Slice keys(block.keys);
+    Slice key;
+    while (GetLengthPrefixedSlice(&keys, &key)) {
+      r->filter_block->AddKey(key);
+    }
+  }
+
+  WriteEncodedBlock(block.payload, &r->pending_handle);
   if (ok()) {
     r->pending_index_entry = true;
+    r->last_key = block.last_key;
+    r->num_entries += block.entries;
     r->status = r->file->Flush();
   }
   if (r->filter_block != nullptr) {
@@ -102,38 +130,26 @@ void TableBuilder::Flush() {
   }
 }
 
-void TableBuilder::WriteBlock(BlockBuilder* block, BlockHandle* handle) {
+void TableBuilder::WriteBlock(const Slice& raw, CompressionType type,
+                              BlockHandle* handle) {
+  Rep* r = rep_.get();
+  EncodeBlock(type, raw, &r->encoded_output);
+  WriteEncodedBlock(r->encoded_output, handle);
+}
+
+void TableBuilder::WriteEncodedBlock(const Slice& encoded,
+                                     BlockHandle* handle) {
   // File format contains a sequence of blocks where each block has:
   //    block_data: uint8[n]
   //    type: uint8
   //    crc: uint32
-  assert(ok());
-  Rep* r = rep_.get();
-  Slice raw = block->Finish();
-
-  const CompressionType type =
-      CompressBlock(r->options.compression, raw, &r->compressed_output);
-  WriteRawBlock(Slice(r->compressed_output), type, handle);
-  r->compressed_output.clear();
-  block->Reset();
-}
-
-void TableBuilder::WriteRawBlock(const Slice& block_contents,
-                                 CompressionType type, BlockHandle* handle) {
+  assert(encoded.size() >= kBlockTrailerSize);
   Rep* r = rep_.get();
   handle->set_offset(r->offset);
-  handle->set_size(block_contents.size());
-  r->status = r->file->Append(block_contents);
+  handle->set_size(encoded.size() - kBlockTrailerSize);
+  r->status = r->file->Append(encoded);
   if (r->status.ok()) {
-    char trailer[kBlockTrailerSize];
-    trailer[0] = static_cast<char>(type);
-    uint32_t crc = crc32c::Value(block_contents.data(), block_contents.size());
-    crc = crc32c::Extend(crc, trailer, 1);  // Extend crc to cover block type
-    EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-    r->status = r->file->Append(Slice(trailer, kBlockTrailerSize));
-    if (r->status.ok()) {
-      r->offset += block_contents.size() + kBlockTrailerSize;
-    }
+    r->offset += encoded.size();
   }
 }
 
@@ -149,8 +165,8 @@ Status TableBuilder::Finish() {
 
   // Write filter block.
   if (ok() && r->filter_block != nullptr) {
-    WriteRawBlock(r->filter_block->Finish(), CompressionType::kNoCompression,
-                  &filter_block_handle);
+    WriteBlock(r->filter_block->Finish(), CompressionType::kNoCompression,
+               &filter_block_handle);
   }
 
   // Write metaindex block.
@@ -163,7 +179,8 @@ Status TableBuilder::Finish() {
       filter_block_handle.EncodeTo(&handle_encoding);
       meta_index_block.Add(key, handle_encoding);
     }
-    WriteBlock(&meta_index_block, &metaindex_block_handle);
+    WriteBlock(meta_index_block.Finish(), r->options.compression,
+               &metaindex_block_handle);
   }
 
   // Write index block.
@@ -175,7 +192,8 @@ Status TableBuilder::Finish() {
       r->index_block.Add(r->last_key, Slice(handle_encoding));
       r->pending_index_entry = false;
     }
-    WriteBlock(&r->index_block, &index_block_handle);
+    WriteBlock(r->index_block.Finish(), r->options.compression,
+               &index_block_handle);
   }
 
   // Write footer.
@@ -199,7 +217,9 @@ void TableBuilder::Abandon() {
   r->closed = true;
 }
 
-uint64_t TableBuilder::NumEntries() const { return rep_->num_entries; }
+uint64_t TableBuilder::NumEntries() const {
+  return rep_->num_entries + rep_->block.entries;
+}
 
 uint64_t TableBuilder::FileSize() const { return rep_->offset; }
 

@@ -3,13 +3,16 @@
 // Data blocks are cut at TableOptions::block_size (uncompressed), each one
 // compressed (S5), checksummed (S6) and appended (S7); the index block maps
 // a shortened separator key to each data block's handle, exactly the
-// SSTable layout in Figure 1(b) of the paper.
+// SSTable layout in Figure 1(b) of the paper. It is the only writer of
+// table files: flushes feed it key/value pairs, compactions feed it blocks
+// their compute stage already encoded.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "src/env/env.h"
+#include "src/table/format.h"
 #include "src/table/table_options.h"
 #include "src/util/slice.h"
 #include "src/util/status.h"
@@ -29,9 +32,12 @@ class TableBuilder {
   // REQUIRES: key is after any previously added key; !Finish/Abandon yet.
   void Add(const Slice& key, const Slice& value);
 
-  // Flush any buffered key/value pairs to file (advanced: lets callers cut
-  // a block early, e.g. at sub-task boundaries).
-  void Flush();
+  // Appends a data block encoded elsewhere; Add() hands its own blocks to
+  // this same call. The index entry and filter for the block are derived
+  // from its keys exactly as for Add()ed blocks.
+  // REQUIRES: block.first_key is after any previously added key; block.keys
+  // holds the block's keys if the table has a filter policy.
+  void AddBlock(const EncodedBlock& block);
 
   Status status() const;
 
@@ -47,9 +53,11 @@ class TableBuilder {
 
  private:
   struct Rep;
-  void WriteBlock(class BlockBuilder* block, class BlockHandle* handle);
-  void WriteRawBlock(const Slice& data, CompressionType type,
-                     class BlockHandle* handle);
+  // Encodes and appends the buffered data block, if any.
+  void Flush();
+  void WriteBlock(const Slice& raw, CompressionType type,
+                  BlockHandle* handle);
+  void WriteEncodedBlock(const Slice& encoded, BlockHandle* handle);
   bool ok() const { return status().ok(); }
 
   std::unique_ptr<Rep> rep_;

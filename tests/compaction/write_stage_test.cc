@@ -9,11 +9,9 @@
 #include <random>
 
 #include "src/compaction/types.h"
-#include "src/compress/codec.h"
 #include "src/env/sim_env.h"
 #include "src/workload/table_gen.h"
 #include "src/table/block_builder.h"
-#include "src/util/crc32c.h"
 
 namespace pipelsm {
 namespace {
@@ -31,17 +29,7 @@ EncodedBlock MakeBlock(const std::string& user_key, uint64_t seq) {
   eb.first_key = ikey;
   eb.last_key = ikey;
   eb.entries = 1;
-  eb.raw_size = raw.size();
-  std::string compressed;
-  CompressionType type =
-      CompressBlock(CompressionType::kNoCompression, raw, &compressed);
-  eb.payload = compressed;
-  char trailer[kBlockTrailerSize];
-  trailer[0] = static_cast<char>(type);
-  uint32_t crc = crc32c::Value(compressed.data(), compressed.size());
-  crc = crc32c::Extend(crc, trailer, 1);
-  EncodeFixed32(trailer + 1, crc32c::Mask(crc));
-  eb.payload.append(trailer, kBlockTrailerSize);
+  EncodeBlock(CompressionType::kNoCompression, raw, &eb.payload);
   return eb;
 }
 

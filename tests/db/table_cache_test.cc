@@ -71,6 +71,30 @@ TEST_F(TableCacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_NE(t1a.get(), t1b.get());  // reopened after eviction
 }
 
+TEST_F(TableCacheTest, KeepsTheMostRecentTablesForAnyShardCount) {
+  // Shards never split a 2-table capacity into slices too small to hold
+  // a table, whatever count is asked for (0 = one per core).
+  uint64_t sizes[6];
+  for (uint64_t n = 1; n <= 5; n++) {
+    sizes[n] = BuildFile(n);
+  }
+  for (size_t shards : {0, 1, 2, 4, 16}) {
+    SCOPED_TRACE(shards);
+    TableCache cache("/db", topt_, &env_, /*max_open_tables=*/2, shards);
+    std::shared_ptr<Table> opened[6];
+    for (uint64_t n = 1; n <= 5; n++) {
+      ASSERT_TRUE(cache.GetTable(n, sizes[n], &opened[n]).ok());
+    }
+    std::shared_ptr<Table> t;
+    ASSERT_TRUE(cache.GetTable(5, sizes[5], &t).ok());
+    EXPECT_EQ(opened[5].get(), t.get());
+    ASSERT_TRUE(cache.GetTable(4, sizes[4], &t).ok());
+    EXPECT_EQ(opened[4].get(), t.get());
+    ASSERT_TRUE(cache.GetTable(3, sizes[3], &t).ok());
+    EXPECT_NE(opened[3].get(), t.get());  // third most recent: evicted
+  }
+}
+
 TEST_F(TableCacheTest, EvictDropsCachedReader) {
   uint64_t size = BuildFile(1);
   TableCache cache("/db", topt_, &env_, 10);

@@ -9,9 +9,13 @@ namespace {
 
 class PosixEnvTest : public ::testing::Test {
  protected:
+  // Each case gets its own directory: under `ctest -j` cases run as
+  // concurrent processes, and a shared one would lose files to another
+  // case's TearDown.
   void SetUp() override {
     env_ = Env::Posix();
-    dir_ = ::testing::TempDir() + "pipelsm_env_test";
+    dir_ = ::testing::TempDir() + "pipelsm_env_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     env_->CreateDir(dir_);
   }
 
