@@ -5,6 +5,7 @@
 
 #include "src/table/block.h"
 #include "src/table/block_builder.h"
+#include "src/table/comparator.h"
 #include "src/table/table.h"
 #include "src/util/coding.h"
 
@@ -63,36 +64,47 @@ namespace {
 
 // Forward-only cursor over one input table's run of decoded blocks within
 // a sub-task. Blocks of one table are disjoint and sorted, so chaining
-// their iterators yields that table's sorted entries.
+// their iterators yields that table's sorted entries. The current key and
+// value are cached so the merge reads them without virtual calls.
 class ChainCursor {
  public:
   ChainCursor(const Comparator* icmp, std::vector<std::unique_ptr<Block>> blocks)
       : icmp_(icmp), blocks_(std::move(blocks)) {
-    Advance();
+    Settle();
   }
 
-  bool Valid() const { return iter_ != nullptr && iter_->Valid(); }
-  Slice key() const { return iter_->key(); }
-  Slice value() const { return iter_->value(); }
+  bool Valid() const { return valid_; }
+  const Slice& key() const { return key_; }
+  const Slice& value() const { return value_; }
 
   void Next() {
     iter_->Next();
-    if (!iter_->Valid() && iter_->status().ok()) Advance();
+    Settle();
   }
 
   Status status() const {
+    if (!status_.ok()) return status_;
     return iter_ != nullptr ? iter_->status() : Status::OK();
   }
 
  private:
-  // Position on the first non-empty remaining block (or stop on error).
-  void Advance() {
-    iter_.reset();
-    while (next_block_ < blocks_.size()) {
+  // Moves on to the next non-empty block while the current one is
+  // exhausted (stopping on error), then caches the entry.
+  void Settle() {
+    while (iter_ == nullptr || !iter_->Valid()) {
+      if ((iter_ != nullptr && !iter_->status().ok()) ||
+          next_block_ == blocks_.size()) {
+        valid_ = false;
+        return;
+      }
       iter_.reset(blocks_[next_block_++]->NewIterator(icmp_));
       iter_->SeekToFirst();
-      if (iter_->Valid() || !iter_->status().ok()) return;
-      iter_.reset();
+    }
+    key_ = iter_->key();
+    value_ = iter_->value();
+    valid_ = key_.size() >= 8;  // the merge compares the 8-byte tag
+    if (!valid_) {
+      status_ = Status::Corruption("compaction: unparsable internal key");
     }
   }
 
@@ -100,7 +112,24 @@ class ChainCursor {
   std::vector<std::unique_ptr<Block>> blocks_;
   size_t next_block_ = 0;
   std::unique_ptr<Iterator> iter_;
+  bool valid_ = false;
+  Status status_;
+  Slice key_;
+  Slice value_;
 };
+
+// InternalKeyComparator::Compare for the bytewise user comparator,
+// inlined: user keys by memcmp, then the (sequence, type) tag descending.
+// Both keys must be at least 8 bytes long.
+inline int CompareBytewiseInternal(const Slice& a, const Slice& b) {
+  const Slice ua(a.data(), a.size() - 8);
+  const Slice ub(b.data(), b.size() - 8);
+  const int r = ua.compare(ub);
+  if (r != 0) return r;
+  const uint64_t atag = DecodeFixed64(ua.data() + ua.size());
+  const uint64_t btag = DecodeFixed64(ub.data() + ub.size());
+  return atag > btag ? -1 : (atag < btag ? +1 : 0);
+}
 
 }  // namespace
 
@@ -108,6 +137,7 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
                       ComputedSubTask* out) {
   const InternalKeyComparator* icmp = options.icmp;
   const Comparator* ucmp = icmp->user_comparator();
+  const bool bytewise = ucmp == BytewiseComparator();
   const SubTaskPlan& plan = raw.plan;
 
   out->seq = plan.seq;
@@ -143,18 +173,11 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
     }
     runs.resize(max_table + 1);
     for (size_t i = 0; i < raw.blocks.size(); i++) {
-      std::string contents;
+      BlockContents contents;
       Status s = DecodeRawBlock(raw.blocks[i], &contents);
       if (!s.ok()) return s;
-      bytes += contents.size();
-      // Hand the decoded bytes to a Block that owns them.
-      char* buf = new char[contents.size()];
-      std::memcpy(buf, contents.data(), contents.size());
-      BlockContents bc;
-      bc.data = Slice(buf, contents.size());
-      bc.heap_allocated = true;
-      bc.cachable = false;
-      runs[plan.blocks[i].table_index].emplace_back(new Block(bc));
+      bytes += contents.data.size();
+      runs[plan.blocks[i].table_index].emplace_back(new Block(contents));
     }
     profile->AddStep(kStepDecompress, sw.ElapsedNanos(), bytes);
   }
@@ -172,6 +195,10 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
         cursors.emplace_back(new ChainCursor(icmp, std::move(run)));
       }
     }
+    auto less = [&](const Slice& a, const Slice& b) {
+      return bytewise ? CompareBytewiseInternal(a, b) < 0
+                      : icmp->Compare(a, b) < 0;
+    };
 
     BlockBuilder builder(options.block_restart_interval);
     EncodedBlock block;  // keys and count of `builder`; payload at flush
@@ -179,11 +206,17 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
     bool has_current_user_key = false;
     bool first_occurrence = true;  // no newer version of this key seen yet
     SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
+    // Only user keys in (lo, hi] belong to this sub-task. The merged
+    // stream is sorted, so lo is tested until the first key above it and
+    // the first key above hi ends the sub-task.
+    bool above_lo = plan.unbounded_lo;
 
     auto flush_block = [&]() {
       if (builder.empty()) return;
       // S4 time has been accumulating; pause it across S5/S6.
       sort_ns += sort_sw.ElapsedNanos();
+      const Slice last_key = builder.last_key();
+      block.last_key.assign(last_key.data(), last_key.size());
       const Slice raw_block = builder.Finish();
       EncodeBlock(options.compression, raw_block, &block.payload, profile);
       out->output_raw_bytes += raw_block.size();
@@ -197,36 +230,32 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
       // Pick the smallest current key among the table runs.
       ChainCursor* best = nullptr;
       for (auto& c : cursors) {
-        if (c->Valid()) {
-          if (best == nullptr ||
-              icmp->Compare(c->key(), best->key()) < 0) {
-            best = c.get();
-          }
+        if (c->Valid() && (best == nullptr || less(c->key(), best->key()))) {
+          best = c.get();
         }
       }
       if (best == nullptr) break;
 
-      Slice key = best->key();
+      const Slice& key = best->key();
       ParsedInternalKey parsed;
       if (!ParseInternalKey(key, &parsed)) {
         return Status::Corruption("compaction: unparsable internal key");
       }
 
-      // Range filter: only user keys in (lo, hi] belong to this sub-task.
-      bool in_range = true;
-      if (!plan.unbounded_lo &&
-          ucmp->Compare(parsed.user_key, plan.lo_user_key) <= 0) {
-        in_range = false;
-      }
-      if (in_range && !plan.unbounded_hi &&
+      if (!plan.unbounded_hi &&
           ucmp->Compare(parsed.user_key, plan.hi_user_key) > 0) {
-        in_range = false;
+        break;
+      }
+      if (!above_lo) {
+        above_lo = ucmp->Compare(parsed.user_key, plan.lo_user_key) > 0;
       }
 
-      bool drop = !in_range;
-      if (in_range) {
+      bool drop = !above_lo;
+      if (above_lo) {
         if (!has_current_user_key ||
-            ucmp->Compare(parsed.user_key, current_user_key) != 0) {
+            (bytewise ? parsed.user_key != Slice(current_user_key)
+                      : ucmp->Compare(parsed.user_key, current_user_key) !=
+                            0)) {
           // First occurrence of this user key.
           current_user_key.assign(parsed.user_key.data(),
                                   parsed.user_key.size());
@@ -248,16 +277,13 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
         }
         last_sequence_for_key = parsed.sequence;
         first_occurrence = false;
-      }
 
-      if (drop && in_range && options.on_drop_entry) {
-        options.on_drop_entry(parsed.type, best->value());
+        if (drop && options.on_drop_entry) {
+          options.on_drop_entry(parsed.type, best->value());
+        }
       }
 
       if (!drop) {
-        if (out->entries == 0) {
-          out->smallest_key.assign(key.data(), key.size());
-        }
         if (builder.empty()) {
           block.first_key.assign(key.data(), key.size());
         }
@@ -266,8 +292,6 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
         if (options.filter_policy != nullptr) {
           PutLengthPrefixedSlice(&block.keys, key);
         }
-        block.last_key.assign(key.data(), key.size());
-        out->largest_key.assign(key.data(), key.size());
         out->entries++;
         merged_bytes += key.size() + best->value().size();
         if (builder.CurrentSizeEstimate() >= options.block_size) {
@@ -278,7 +302,14 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
       best->Next();
       if (!best->status().ok()) return best->status();
     }
+    for (const auto& c : cursors) {
+      if (!c->status().ok()) return c->status();
+    }
     flush_block();
+    if (!out->blocks.empty()) {
+      out->smallest_key = out->blocks.front().first_key;
+      out->largest_key = out->blocks.back().last_key;
+    }
     sort_ns += sort_sw.ElapsedNanos();
     profile->AddStep(kStepSort, sort_ns, merged_bytes);
   }

@@ -31,14 +31,23 @@ namespace pipelsm::lz {
 // Maximum size Compress may produce for an n-byte input.
 size_t MaxCompressedLength(size_t n);
 
-// Compresses input[0,n-1] into *output (replacing its contents).
+// Compresses input[0,n-1] into *output (replacing its contents). The
+// encoder writes into a MaxCompressedLength(n) buffer and trims it.
 void Compress(const char* input, size_t n, std::string* output);
 
-// Reads the uncompressed-length preamble.
+// Reads the uncompressed-length preamble. Returns false if it is
+// malformed or declares more than an n-byte input can expand to, so a
+// caller may allocate *result bytes before decoding.
 bool GetUncompressedLength(const char* input, size_t n, size_t* result);
 
-// Decompresses into *output (resized to the uncompressed length).
-// Returns Corruption on any malformed input.
+// Decompresses into dst[0,ulen-1], where ulen is the length
+// GetUncompressedLength returned. Returns Corruption on any malformed
+// input, including one whose output is not exactly ulen bytes; dst may
+// then hold partial output.
+Status UncompressTo(const char* input, size_t n, char* dst, size_t ulen);
+
+// Decompresses into *output (resized to the uncompressed length; cleared
+// on error). Returns Corruption on any malformed input.
 Status Uncompress(const char* input, size_t n, std::string* output);
 
 }  // namespace pipelsm::lz

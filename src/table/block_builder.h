@@ -41,6 +41,9 @@ class BlockBuilder {
 
   bool empty() const { return buffer_.empty(); }
 
+  // The last key added since the last Reset(); empty if none.
+  Slice last_key() const { return Slice(last_key_); }
+
  private:
   const int restart_interval_;
   std::string buffer_;

@@ -91,14 +91,42 @@ Status VerifyRawBlock(const RawBlock& raw) {
   return Status::OK();
 }
 
-Status DecodeRawBlock(const RawBlock& raw, std::string* contents) {
+Status DecodeRawBlock(const RawBlock& raw, BlockContents* result) {
+  result->data = Slice();
+  result->cachable = false;
+  result->heap_allocated = false;
   if (raw.payload.size() < kBlockTrailerSize) {
     return Status::Corruption("block too small for trailer");
   }
   const size_t n = raw.payload.size() - kBlockTrailerSize;
   const char* data = raw.payload.data();
-  const auto type = static_cast<CompressionType>(data[n]);
-  return UncompressBlock(type, Slice(data, n), contents);
+  char* buf;
+  size_t len;
+  switch (static_cast<CompressionType>(data[n])) {
+    case CompressionType::kNoCompression:
+      len = n;
+      buf = new char[len];
+      std::memcpy(buf, data, len);
+      break;
+    case CompressionType::kLzCompression: {
+      if (!lz::GetUncompressedLength(data, n, &len)) {
+        return Status::Corruption("lz: bad uncompressed-length preamble");
+      }
+      buf = new char[len];
+      Status s = lz::UncompressTo(data, n, buf, len);
+      if (!s.ok()) {
+        delete[] buf;
+        return s;
+      }
+      break;
+    }
+    default:
+      return Status::Corruption("unknown block compression type");
+  }
+  result->data = Slice(buf, len);
+  result->heap_allocated = true;
+  result->cachable = true;
+  return Status::OK();
 }
 
 void EncodeBlock(CompressionType compression, const Slice& raw,
@@ -133,31 +161,7 @@ Status ReadBlock(RandomAccessFile* file, const BlockHandle& handle,
     if (!s.ok()) return s;
   }
 
-  const size_t n = raw.payload.size() - kBlockTrailerSize;
-  const char* data = raw.payload.data();
-  switch (static_cast<CompressionType>(data[n])) {
-    case CompressionType::kNoCompression: {
-      char* buf = new char[n];
-      std::memcpy(buf, data, n);
-      result->data = Slice(buf, n);
-      result->heap_allocated = true;
-      result->cachable = true;
-      return Status::OK();
-    }
-    case CompressionType::kLzCompression: {
-      std::string decoded;
-      s = lz::Uncompress(data, n, &decoded);
-      if (!s.ok()) return s;
-      char* buf = new char[decoded.size()];
-      std::memcpy(buf, decoded.data(), decoded.size());
-      result->data = Slice(buf, decoded.size());
-      result->heap_allocated = true;
-      result->cachable = true;
-      return Status::OK();
-    }
-    default:
-      return Status::Corruption("unknown block compression type");
-  }
+  return DecodeRawBlock(raw, result);
 }
 
 }  // namespace pipelsm

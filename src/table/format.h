@@ -97,9 +97,10 @@ Status ReadRawBlock(RandomAccessFile* file, const BlockHandle& handle,
 // S2: verify a raw block's trailer CRC.
 Status VerifyRawBlock(const RawBlock& raw);
 
-// S3: decompress a raw block's payload into *contents (which owns the
-// bytes).
-Status DecodeRawBlock(const RawBlock& raw, std::string* contents);
+// S3: decompress a raw block's payload straight into a new heap buffer
+// that *result points at (heap_allocated: hand it to a Block, which then
+// owns it). ReadBlock decodes through the same path.
+Status DecodeRawBlock(const RawBlock& raw, BlockContents* result);
 
 // S5 + S6, the inverse of DecodeRawBlock + VerifyRawBlock and the only
 // producer of block trailers: replaces *out with `raw` compressed by

@@ -1,9 +1,11 @@
 // CRC32C (Castagnoli) — used for S2 (CHECKSUM) and S6 (RE-CHECKSUM) of the
 // compaction procedure, for WAL records and for SSTable block trailers.
 //
-// Software slice-by-8 implementation; masked variant stored on disk so a CRC
-// over data that itself embeds CRCs stays well-distributed (same rationale
-// and constant as LevelDB).
+// Uses the SSE4.2 crc32 instruction when the CPU has it (checked once at
+// run time) and software slice-by-8 otherwise; both give the same values.
+// The masked variant is stored on disk so a CRC over data that itself
+// embeds CRCs stays well-distributed (same rationale and constant as
+// LevelDB).
 #pragma once
 
 #include <cstddef>
@@ -17,6 +19,12 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
 
 // crc32c of data[0,n-1].
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
+
+namespace internal {
+// The slice-by-8 fallback, callable directly so tests can check the
+// hardware path against it.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+}  // namespace internal
 
 static const uint32_t kMaskDelta = 0xa282ead8ul;
 

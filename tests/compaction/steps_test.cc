@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/compaction/planner.h"
 #include "src/env/sim_env.h"
+#include "src/table/block.h"
 #include "src/util/stopwatch.h"
 #include "src/workload/table_gen.h"
 
@@ -23,6 +26,86 @@ class StepsTest : public ::testing::Test {
     EXPECT_TRUE(GenerateCompactionInputs(gen, &inputs_).ok());
     job_.icmp = &icmp_;
     job_.subtask_bytes = 64 << 10;
+  }
+
+  using Entries = std::vector<std::pair<std::string, std::string>>;
+
+  struct SubTaskOutput {
+    ComputedSubTask computed;
+    Entries entries;  // decoded from the output blocks
+    int drops = 0;    // on_drop_entry calls
+  };
+
+  // A sub-task over the user keys in (lo, hi] (an empty bound is
+  // unbounded) that lists, per input table, every block the index says
+  // may overlap the range -- so its boundary blocks also hold keys
+  // outside it.
+  SubTaskPlan PlanRange(const std::string& lo, const std::string& hi) {
+    SubTaskPlan plan;
+    plan.unbounded_lo = lo.empty();
+    plan.lo_user_key = lo;
+    plan.unbounded_hi = hi.empty();
+    plan.hi_user_key = hi;
+    for (size_t t = 0; t < inputs_.tables.size(); t++) {
+      std::unique_ptr<Iterator> idx(inputs_.tables[t]->NewIndexIterator());
+      for (idx->SeekToFirst(); idx->Valid(); idx->Next()) {
+        const Slice limit = ExtractUserKey(idx->key());
+        if (!lo.empty() && limit.compare(lo) <= 0) continue;
+        BlockRead br;
+        br.table_index = static_cast<int>(t);
+        Slice v = idx->value();
+        EXPECT_TRUE(br.handle.DecodeFrom(&v).ok());
+        plan.blocks.push_back(br);
+        if (!hi.empty() && limit.compare(hi) > 0) break;
+      }
+    }
+    return plan;
+  }
+
+  void AppendEntries(const std::vector<EncodedBlock>& blocks, Entries* out) {
+    for (const EncodedBlock& eb : blocks) {
+      RawBlock raw;
+      raw.payload = eb.payload;
+      BlockContents contents;
+      ASSERT_TRUE(DecodeRawBlock(raw, &contents).ok());
+      Block block(contents);
+      std::unique_ptr<Iterator> it(block.NewIterator(&icmp_));
+      for (it->SeekToFirst(); it->Valid(); it->Next()) {
+        out->emplace_back(it->key().ToString(), it->value().ToString());
+      }
+    }
+  }
+
+  SubTaskOutput Run(const SubTaskPlan& plan) {
+    SubTaskOutput result;
+    CompactionJobOptions job = job_;
+    job.on_drop_entry = [&result](ValueType, const Slice&) {
+      result.drops++;
+    };
+    StepProfile profile;
+    RawSubTask raw;
+    EXPECT_TRUE(ReadSubTask(job, inputs_.tables, plan, &raw, &profile).ok());
+    EXPECT_TRUE(ComputeSubTask(job, std::move(raw), &result.computed).ok());
+    AppendEntries(result.computed.blocks, &result.entries);
+    return result;
+  }
+
+  // User keys of every entry in the plan's input blocks.
+  std::vector<std::string> InputUserKeys(const SubTaskPlan& plan) {
+    std::vector<std::string> keys;
+    StepProfile profile;
+    RawSubTask raw;
+    EXPECT_TRUE(ReadSubTask(job_, inputs_.tables, plan, &raw, &profile).ok());
+    for (const RawBlock& rb : raw.blocks) {
+      BlockContents contents;
+      EXPECT_TRUE(DecodeRawBlock(rb, &contents).ok());
+      Block block(contents);
+      std::unique_ptr<Iterator> it(block.NewIterator(&icmp_));
+      for (it->SeekToFirst(); it->Valid(); it->Next()) {
+        keys.push_back(ExtractUserKey(it->key()).ToString());
+      }
+    }
+    return keys;
   }
 
   SimEnv env_;
@@ -71,6 +154,100 @@ TEST_F(StepsTest, BoundaryBlocksDoNotDuplicateOutput) {
   EXPECT_EQ(distinct_keys, entries);
 }
 
+// A sub-task emits exactly the user keys in (lo, hi] even though its
+// boundary blocks hold keys on both sides, reports drops only for
+// entries in its range, and adjacent sub-tasks concatenate to the output
+// of one sub-task over everything.
+TEST_F(StepsTest, SubTaskEmitsExactlyItsRange) {
+  const SubTaskOutput whole = Run(PlanRange("", ""));
+  const size_t n = whole.entries.size();
+  ASSERT_GT(n, 300u);
+  ASSERT_GT(whole.drops, 0);  // the upper table shadows lower versions
+
+  const std::string k1 = ExtractUserKey(whole.entries[n / 3].first).ToString();
+  const std::string k2 =
+      ExtractUserKey(whole.entries[2 * n / 3].first).ToString();
+  const std::pair<std::string, std::string> ranges[] = {
+      {"", k1}, {k1, k2}, {k2, ""}};
+
+  Entries concatenated;
+  int drops = 0;
+  for (const auto& [lo, hi] : ranges) {
+    const SubTaskPlan plan = PlanRange(lo, hi);
+    if (!lo.empty() && !hi.empty()) {
+      const std::vector<std::string> in = InputUserKeys(plan);
+      EXPECT_TRUE(std::any_of(in.begin(), in.end(),
+                              [&](const std::string& k) { return k <= lo; }));
+      EXPECT_TRUE(std::any_of(in.begin(), in.end(),
+                              [&](const std::string& k) { return k > hi; }));
+    }
+    const SubTaskOutput out = Run(plan);
+    ASSERT_FALSE(out.entries.empty());
+    for (const auto& [key, value] : out.entries) {
+      const std::string user = ExtractUserKey(key).ToString();
+      if (!lo.empty()) {
+        EXPECT_GT(user, lo);
+      }
+      if (!hi.empty()) {
+        EXPECT_LE(user, hi);
+      }
+    }
+    EXPECT_EQ(out.entries.front().first, out.computed.smallest_key);
+    EXPECT_EQ(out.entries.back().first, out.computed.largest_key);
+    EXPECT_EQ(out.entries.size(), out.computed.entries);
+    concatenated.insert(concatenated.end(), out.entries.begin(),
+                        out.entries.end());
+    drops += out.drops;
+  }
+  EXPECT_EQ(whole.entries, concatenated);
+  // Every in-range entry belongs to exactly one sub-task, so any drop
+  // reported for an out-of-range entry would show up as a surplus here.
+  EXPECT_EQ(whole.drops, drops);
+}
+
+// Orders keys exactly like BytewiseComparator() but is another object,
+// so the merge takes its generic comparator path instead of the inlined
+// bytewise compare.
+class SameOrderComparator final : public Comparator {
+ public:
+  int Compare(const Slice& a, const Slice& b) const override {
+    return BytewiseComparator()->Compare(a, b);
+  }
+  const char* Name() const override { return BytewiseComparator()->Name(); }
+  void FindShortestSeparator(std::string* start,
+                             const Slice& limit) const override {
+    BytewiseComparator()->FindShortestSeparator(start, limit);
+  }
+  void FindShortSuccessor(std::string* key) const override {
+    BytewiseComparator()->FindShortSuccessor(key);
+  }
+};
+
+TEST_F(StepsTest, GenericComparatorPathMatchesInlinedCompare) {
+  SameOrderComparator ucmp;
+  InternalKeyComparator icmp(&ucmp);
+  CompactionJobOptions generic_job = job_;
+  generic_job.icmp = &icmp;
+
+  std::vector<SubTaskPlan> plans;
+  ASSERT_TRUE(PlanSubTasks(job_, inputs_.tables, &plans).ok());
+  for (const SubTaskPlan& plan : plans) {
+    StepProfile profile;
+    RawSubTask raw;
+    ASSERT_TRUE(ReadSubTask(job_, inputs_.tables, plan, &raw, &profile).ok());
+    RawSubTask raw_copy = raw;
+    ComputedSubTask inlined, generic;
+    ASSERT_TRUE(ComputeSubTask(job_, std::move(raw), &inlined).ok());
+    ASSERT_TRUE(
+        ComputeSubTask(generic_job, std::move(raw_copy), &generic).ok());
+    ASSERT_EQ(inlined.blocks.size(), generic.blocks.size());
+    for (size_t i = 0; i < inlined.blocks.size(); i++) {
+      EXPECT_EQ(inlined.blocks[i].payload, generic.blocks[i].payload);
+    }
+    EXPECT_EQ(inlined.entries, generic.entries);
+  }
+}
+
 TEST_F(StepsTest, ReadCoalescesContiguousBlocks) {
   std::vector<SubTaskPlan> plans;
   ASSERT_TRUE(PlanSubTasks(job_, inputs_.tables, &plans).ok());
@@ -88,8 +265,9 @@ TEST_F(StepsTest, ReadCoalescesContiguousBlocks) {
   // And every sliced payload verifies + decodes.
   for (const auto& rb : raw.blocks) {
     ASSERT_TRUE(VerifyRawBlock(rb).ok());
-    std::string contents;
+    BlockContents contents;
     ASSERT_TRUE(DecodeRawBlock(rb, &contents).ok());
+    const Block block(contents);  // owns the decoded bytes
   }
 }
 
@@ -118,11 +296,17 @@ TEST_F(StepsTest, DilationStretchesComputeUniformly) {
     EXPECT_EQ(plain.blocks[i].payload, dilated.blocks[i].payload);
   }
 
-  // Reported compute time scaled ~4x, and real wall time actually grew
-  // (the sleep is real).
-  EXPECT_GT(dilated.profile.ComputeNanos(),
-            plain.profile.ComputeNanos() * 2);
-  EXPECT_GT(dilated_wall, plain.profile.ComputeNanos() * 2);
+  // Every compute step's reported time is its measured time times 4, and
+  // the run really slept for the difference: the sleep is 3x the measured
+  // compute time and never ends early, so the run's own wall time covers
+  // the 4x it reports. Both checks stay within the dilated run, so they
+  // hold however fast or loaded the host is.
+  for (CompactionStep s : {kStepChecksum, kStepDecompress, kStepSort,
+                           kStepCompress, kStepRechecksum}) {
+    EXPECT_GT(dilated.profile.nanos[s], 0u) << CompactionStepName(s);
+    EXPECT_EQ(0u, dilated.profile.nanos[s] % 4) << CompactionStepName(s);
+  }
+  EXPECT_GE(dilated_wall, dilated.profile.ComputeNanos());
 }
 
 TEST_F(StepsTest, DilatedProfileScalesDeviceNumbers) {

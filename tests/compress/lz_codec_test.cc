@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
+#include "src/table/block_builder.h"
 #include "src/util/random.h"
+#include "src/workload/generator.h"
 
 namespace pipelsm::lz {
 namespace {
@@ -122,6 +126,101 @@ TEST(LzCodec, DeclaredLengthMismatchRejected) {
   std::string output;
   EXPECT_FALSE(
       Uncompress(compressed.data(), compressed.size(), &output).ok());
+}
+
+// Handcrafted streams: a literal followed by copies whose source
+// overlaps their destination, each ending exactly at the declared length.
+TEST(LzCodec, OverlappingCopyOffsetOne) {
+  // len 10 | literal "a" | copy-1 len 9 offset 1
+  const std::string stream = {10, 0x00, 'a', 0x01 | ((9 - 4) << 2), 0x01};
+  std::string output;
+  ASSERT_TRUE(Uncompress(stream.data(), stream.size(), &output).ok());
+  EXPECT_EQ(std::string(10, 'a'), output);
+}
+
+TEST(LzCodec, OverlappingCopyOffsetBelowLength) {
+  // len 11 | literal "abc" | copy-2 len 8 offset 3
+  const std::string stream = {11,  (3 - 1) << 2, 'a', 'b', 'c',
+                              0x02 | ((8 - 1) << 2), 0x03, 0x00};
+  std::string output;
+  ASSERT_TRUE(Uncompress(stream.data(), stream.size(), &output).ok());
+  EXPECT_EQ("abcabcabcab", output);
+}
+
+TEST(LzCodec, CopyEndingAtDeclaredLength) {
+  // len 8 | literal "wxyz" | copy-1 len 4 offset 4
+  std::string stream = {8, (4 - 1) << 2, 'w', 'x', 'y', 'z',
+                        0x01 | ((4 - 4) << 2), 0x04};
+  std::string output;
+  ASSERT_TRUE(Uncompress(stream.data(), stream.size(), &output).ok());
+  EXPECT_EQ("wxyzwxyz", output);
+
+  // The same copy one byte past a declared length of 7 is an overrun.
+  stream[0] = 7;
+  EXPECT_TRUE(Uncompress(stream.data(), stream.size(), &output).IsCorruption());
+  // And a declared length one byte longer is never filled.
+  stream[0] = 9;
+  EXPECT_TRUE(Uncompress(stream.data(), stream.size(), &output).IsCorruption());
+}
+
+TEST(LzCodec, HugeDeclaredLengthRejectedBeforeAllocating) {
+  // A 5-byte stream whose preamble claims 0xFFFFFFFF output bytes: no
+  // element expands more than 22x, so this is rejected up front.
+  const std::string stream = {'\xff', '\xff', '\xff', '\xff', '\x0f'};
+  size_t ulen = 0;
+  EXPECT_FALSE(GetUncompressedLength(stream.data(), stream.size(), &ulen));
+  std::string output;
+  EXPECT_TRUE(Uncompress(stream.data(), stream.size(), &output).IsCorruption());
+  EXPECT_TRUE(output.empty());
+}
+
+// 4 KiB data blocks of 16-byte keys and 100-byte values at the paper's
+// 0.5 value compressibility -- what S5 compresses -- plus one input of
+// all of them back to back, which crosses the encoder's window rebase.
+std::vector<std::string> GoldenCorpus() {
+  WorkloadGenerator gen(6000, 16, 100, KeyOrder::kSequential, 301, 0.5);
+  std::vector<std::string> blocks;
+  BlockBuilder builder(16);
+  for (uint64_t i = 0; i < gen.num_entries(); i++) {
+    builder.Add(gen.Key(i), gen.Value(i));
+    if (builder.CurrentSizeEstimate() >= 4096 ||
+        i + 1 == gen.num_entries()) {
+      blocks.push_back(builder.Finish().ToString());
+      builder.Reset();
+    }
+  }
+  std::string all;
+  for (const std::string& b : blocks) all += b;
+  blocks.push_back(all);
+  return blocks;
+}
+
+uint64_t Fnv1a64(uint64_t h, const std::string& s) {
+  for (char c : s) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The encoder's exact output is part of the on-disk format's byte
+// stability: a faster match loop must find the same matches. The digest
+// was recorded with the original byte-at-a-time encoder.
+TEST(LzCodec, GoldenEncoderOutput) {
+  const std::vector<std::string> corpus = GoldenCorpus();
+  uint64_t digest = 0xcbf29ce484222325ull;
+  size_t compressed_bytes = 0;
+  for (const std::string& input : corpus) {
+    std::string compressed;
+    Compress(input.data(), input.size(), &compressed);
+    compressed_bytes += compressed.size();
+    digest = Fnv1a64(digest, compressed);
+    std::string back;
+    ASSERT_TRUE(Uncompress(compressed.data(), compressed.size(), &back).ok());
+    ASSERT_EQ(input, back);
+  }
+  EXPECT_EQ(699005u, compressed_bytes);
+  EXPECT_EQ(0x78cd9de967f3303eull, digest);
 }
 
 // Property sweep: random mixes of run lengths, literals and dictionary

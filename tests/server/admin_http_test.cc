@@ -443,7 +443,7 @@ TEST_F(AdminHttpTest, MalformedRequestsGet400) {
       "GET /metrics\r\n\r\n",                // missing version token
       "GETMETRICS\r\n\r\n",                  // no spaces at all
       "GET metrics HTTP/1.0\r\n\r\n",        // path without leading /
-      std::string("\x00\x01\x02\xff garbage\r\n\r\n", 20),  // binary junk
+      std::string("\x00\x01\x02\xff garbage\r\n\r\n", 16),  // binary junk
   };
   for (const std::string& request : bad) {
     HttpResponse r;

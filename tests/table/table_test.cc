@@ -5,6 +5,7 @@
 #include <map>
 
 #include "src/env/sim_env.h"
+#include "src/table/block.h"
 #include "src/table/filter_policy.h"
 #include "src/table/format.h"
 #include "src/table/table_builder.h"
@@ -229,11 +230,24 @@ TEST(Table, IndexIteratorEnumeratesBlocks) {
     RawBlock raw;
     ASSERT_TRUE(f.table->ReadRaw(handle, &raw).ok());
     ASSERT_TRUE(VerifyRawBlock(raw).ok());
-    std::string contents;
+    BlockContents contents;
     ASSERT_TRUE(DecodeRawBlock(raw, &contents).ok());
-    EXPECT_GT(contents.size(), 0u);
+    const Block block(contents);  // owns the decoded bytes
+    EXPECT_GT(contents.data.size(), 0u);
   }
   EXPECT_GT(blocks, 10);
+}
+
+// A block whose LZ preamble claims 4 GiB is corrupt; the decoder must
+// say so before it allocates the output buffer.
+TEST(Table, DecodeRejectsHugeDeclaredLength) {
+  RawBlock raw;
+  raw.payload = {'\xff', '\xff', '\xff', '\xff', '\x0f'};
+  raw.payload.push_back(static_cast<char>(CompressionType::kLzCompression));
+  raw.payload.append(4, '\0');  // crc: not checked by the decoder
+  BlockContents contents;
+  EXPECT_TRUE(DecodeRawBlock(raw, &contents).IsCorruption());
+  EXPECT_FALSE(contents.heap_allocated);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+
+#include "src/util/random.h"
 
 namespace pipelsm::crc32c {
 namespace {
@@ -95,6 +98,43 @@ TEST(CRC, DetectsBitFlips) {
 TEST(CRC, EmptyInput) {
   EXPECT_EQ(0u, Value("", 0));
   EXPECT_EQ(Value("x", 1), Extend(Value("", 0), "x", 1));
+}
+
+// Extend may run on the CPU's crc32 instruction; it must agree with the
+// portable slice-by-8 code on every length and alignment, including the
+// tails shorter than one 8-byte word.
+TEST(CRC, HardwareMatchesPortable) {
+  std::string buf(1100 + 8, '\0');
+  Xoroshiro128pp rng(7);
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (size_t align = 0; align < 8; align++) {
+    for (size_t n = 0; n <= 1100; n++) {
+      const char* p = buf.data() + align;
+      ASSERT_EQ(internal::ExtendPortable(0, p, n), Extend(0, p, n))
+          << "align=" << align << " n=" << n;
+      ASSERT_EQ(internal::ExtendPortable(0x12345678u, p, n),
+                Extend(0x12345678u, p, n))
+          << "align=" << align << " n=" << n;
+    }
+  }
+}
+
+TEST(CRC, HardwareMatchesPortableChained) {
+  Xoroshiro128pp rng(11);
+  std::string data(64 << 10, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next());
+  const uint32_t oneshot = internal::ExtendPortable(0, data.data(), data.size());
+  for (int round = 0; round < 50; round++) {
+    uint32_t crc = 0;
+    size_t pos = 0;
+    while (pos < data.size()) {
+      const size_t n =
+          std::min<size_t>(1 + rng.Next() % 3000, data.size() - pos);
+      crc = Extend(crc, data.data() + pos, n);
+      pos += n;
+    }
+    ASSERT_EQ(oneshot, crc) << "round=" << round;
+  }
 }
 
 }  // namespace
