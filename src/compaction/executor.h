@@ -33,7 +33,9 @@ class CompactionExecutor {
 
   // Plans sub-tasks from `inputs` and runs them to completion, writing
   // outputs through `sink` and accumulating step timings in *profile
-  // (wall_nanos covers the whole run including planning).
+  // (wall_nanos covers the whole run including planning). Every exit
+  // after planning merges what was measured into *profile, failures
+  // included; step metrics are published only for a successful run.
   virtual Status Run(const CompactionJobOptions& options,
                      const std::vector<std::shared_ptr<Table>>& inputs,
                      CompactionSink* sink, StepProfile* profile) = 0;

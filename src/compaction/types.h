@@ -29,10 +29,8 @@
 namespace pipelsm {
 
 namespace obs {
-class EventListener;
 class MetricsRegistry;
 class TraceCollector;
-struct CompactionJobInfo;
 }  // namespace obs
 
 // One data-block extent to read for a sub-task.
@@ -177,16 +175,6 @@ struct CompactionJobOptions {
   // Optional trace collector; when set, every sub-task's stage spans and
   // queue-wait stalls are recorded for chrome://tracing export.
   obs::TraceCollector* trace = nullptr;
-
-  // Optional event listeners (src/obs/event_listener.h). The executor
-  // fires OnCompactionBegin once planning is done and
-  // OnCompactionCompleted on every exit path — including failures, where
-  // the info carries the non-ok status and whatever profile was measured.
-  // Requires job_info to be set (the executor fills in executor name,
-  // sub-task count, output bytes and the step profile; the caller
-  // pre-fills job id, level and input files).
-  const std::vector<obs::EventListener*>* listeners = nullptr;
-  obs::CompactionJobInfo* job_info = nullptr;
 
   // Set by the executor on its own copy of the options (callers leave
   // them alone): which trace process the run belongs to and which lane

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/util/slice.h"
-#include "src/util/status.h"
 
 namespace pipelsm {
 
@@ -20,10 +19,6 @@ enum class CompressionType : uint8_t {
 // are stored and kNoCompression is returned (same policy as LevelDB).
 CompressionType CompressBlock(CompressionType type, const Slice& raw,
                               std::string* out);
-
-// Inverse of CompressBlock for the returned type.
-Status UncompressBlock(CompressionType type, const Slice& stored,
-                       std::string* out);
 
 const char* CompressionTypeName(CompressionType type);
 

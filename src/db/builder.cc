@@ -1,70 +1,30 @@
 #include "src/db/builder.h"
 
+#include <cassert>
+
 #include "src/db/dbformat.h"
 #include "src/db/filename.h"
 #include "src/db/table_cache.h"
 #include "src/env/env.h"
 #include "src/table/table_builder.h"
-#include "src/util/stopwatch.h"
 #include "src/version/version_edit.h"
 
 namespace pipelsm {
 
-namespace {
-
-// Fires OnFlushBegin (when info != nullptr) and, through Finish(), the
-// matching OnFlushCompleted on whatever path the build exits.
-class FlushEvents {
- public:
-  FlushEvents(const obs::EventListeners* listeners, obs::FlushJobInfo* info,
-              const FileMetaData* meta)
-      : listeners_(listeners), info_(info), meta_(meta) {
-    if (info_ == nullptr) return;
-    info_->file_number = meta->number;
-    if (listeners_ != nullptr) {
-      for (obs::EventListener* l : *listeners_) l->OnFlushBegin(*info_);
-    }
-  }
-
-  Status Finish(const Status& s, uint64_t entries) {
-    if (info_ != nullptr) {
-      info_->output_bytes = meta_->file_size;
-      info_->entries = entries;
-      info_->micros = wall_.ElapsedNanos() / 1000;
-      info_->status = s;
-      if (listeners_ != nullptr) {
-        for (obs::EventListener* l : *listeners_) l->OnFlushCompleted(*info_);
-      }
-    }
-    return s;
-  }
-
- private:
-  const obs::EventListeners* const listeners_;
-  obs::FlushJobInfo* const info_;
-  const FileMetaData* const meta_;
-  Stopwatch wall_;
-};
-
-}  // namespace
-
 Status BuildTable(const std::string& dbname, Env* env,
                   const TableOptions& table_options, TableCache* table_cache,
-                  Iterator* iter, FileMetaData* meta,
-                  const obs::EventListeners* listeners,
-                  obs::FlushJobInfo* info) {
+                  Iterator* iter, FileMetaData* meta, uint64_t* entries) {
   Status s;
   meta->file_size = 0;
+  *entries = 0;
   iter->SeekToFirst();
-  FlushEvents events(listeners, info, meta);
-  uint64_t entries = 0;
 
   std::string fname = TableFileName(dbname, meta->number);
   if (iter->Valid()) {
     std::unique_ptr<WritableFile> file;
     s = env->NewWritableFile(fname, &file);
     if (!s.ok()) {
-      return events.Finish(s, entries);
+      return s;
     }
 
     TableBuilder builder(table_options, file.get());
@@ -73,7 +33,7 @@ Status BuildTable(const std::string& dbname, Env* env,
     for (; iter->Valid(); iter->Next()) {
       key = iter->key();
       builder.Add(key, iter->value());
-      entries++;
+      ++*entries;
     }
     if (!key.empty()) {
       meta->largest.DecodeFrom(key);
@@ -112,7 +72,7 @@ Status BuildTable(const std::string& dbname, Env* env,
   } else {
     env->RemoveFile(fname);
   }
-  return events.Finish(s, entries);
+  return s;
 }
 
 }  // namespace pipelsm

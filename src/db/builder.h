@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/db/options.h"
-#include "src/obs/event_listener.h"
 #include "src/util/status.h"
 
 namespace pipelsm {
@@ -18,16 +17,10 @@ class TableOptions;
 
 // Builds a table file from *iter (which yields internal keys). On success
 // (non-empty input) fills *meta and leaves the file in the table cache;
-// on empty input or error the file is removed.
-//
-// When `info` is non-null, OnFlushBegin fires on `listeners` before the
-// first block is built and OnFlushCompleted after the dump finished (or
-// failed), with output size / entry count / wall micros / status filled
-// in. The caller pre-fills info->job_id; the builder sets the rest.
+// on empty input or error the file is removed. *entries receives the
+// number of internal keys written.
 Status BuildTable(const std::string& dbname, Env* env,
                   const TableOptions& table_options, TableCache* table_cache,
-                  Iterator* iter, FileMetaData* meta,
-                  const obs::EventListeners* listeners = nullptr,
-                  obs::FlushJobInfo* info = nullptr);
+                  Iterator* iter, FileMetaData* meta, uint64_t* entries);
 
 }  // namespace pipelsm

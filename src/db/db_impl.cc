@@ -218,14 +218,13 @@ class DBImpl::EventLogger final : public obs::EventListener {
     obs::Log(db_->info_log_,
              "EVENT compaction_begin job=%llu level=%d output_level=%d "
              "style=%s executor=%s read_k=%d compute_k=%d adaptive=%d "
-             "inputs=%d input_bytes=%llu subtasks=%llu subcompactions=%d "
+             "inputs=%d input_bytes=%llu subcompactions=%d "
              "predicted_write_amp=%.2f",
              static_cast<unsigned long long>(info.job_id), info.level,
              info.output_level, info.style, info.executor,
              info.read_parallelism, info.compute_parallelism,
              info.adaptive ? 1 : 0, info.input_files,
              static_cast<unsigned long long>(info.input_bytes),
-             static_cast<unsigned long long>(info.subtasks),
              info.subcompactions, info.predicted_write_amp);
   }
 
@@ -233,12 +232,13 @@ class DBImpl::EventLogger final : public obs::EventListener {
     const StepProfile& p = info.profile;
     obs::Log(db_->info_log_,
              "EVENT compaction_end job=%llu level=%d output_level=%d "
-             "style=%s executor=%s subcompactions=%d "
+             "style=%s executor=%s subcompactions=%d subtasks=%llu "
              "output_bytes=%llu read_ms=%.1f compute_ms=%.1f write_ms=%.1f "
              "wall_ms=%.1f status=%s",
              static_cast<unsigned long long>(info.job_id), info.level,
              info.output_level, info.style, info.executor,
              info.subcompactions,
+             static_cast<unsigned long long>(info.subtasks),
              static_cast<unsigned long long>(info.output_bytes),
              p.nanos[kStepRead] / 1e6, p.ComputeNanos() / 1e6,
              p.nanos[kStepWrite] / 1e6, info.wall_micros / 1e3,
@@ -341,9 +341,6 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
                                       "open tables cached"));
   versions_.reset(new VersionSet(dbname_, &options_, table_cache_.get(),
                                  &internal_comparator_));
-  for (int m = 0; m < 4; m++) {
-    executors_[m] = NewCompactionExecutor(CompactionMode(m));
-  }
   scheduler_ = std::make_unique<CompactionScheduler>(
       SchedulerOptions::FromOptions(options_), &metrics_registry_);
 
@@ -592,8 +589,7 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
   std::sort(logs.begin(), logs.end());
   SequenceNumber max_sequence = 0;
   for (size_t i = 0; i < logs.size(); i++) {
-    s = RecoverLogFile(logs[i], (i == logs.size() - 1), save_manifest, edit,
-                       &max_sequence);
+    s = RecoverLogFile(logs[i], save_manifest, edit, &max_sequence);
     if (!s.ok()) return s;
 
     // The previous incarnation may not have written any MANIFEST records
@@ -610,8 +606,8 @@ Status DBImpl::Recover(VersionEdit* edit, bool* save_manifest) {
   return Status::OK();
 }
 
-Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
-                              bool* save_manifest, VersionEdit* edit,
+Status DBImpl::RecoverLogFile(uint64_t log_number, bool* save_manifest,
+                              VersionEdit* edit,
                               SequenceNumber* max_sequence) {
   struct LogReporter : public log::Reader::Reporter {
     const char* fname;
@@ -643,7 +639,6 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
   std::string scratch;
   Slice record;
   WriteBatch batch;
-  int compactions = 0;
   MemTable* mem = nullptr;
   while (reader.ReadRecord(&record, &scratch) && status.ok()) {
     if (record.size() < 12) {
@@ -668,7 +663,6 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
     }
 
     if (mem->ApproximateMemoryUsage() > options_.write_buffer_size) {
-      compactions++;
       *save_manifest = true;
       status = WriteLevel0Table(mem, edit, nullptr);
       mem->Unref();
@@ -681,15 +675,11 @@ Status DBImpl::RecoverLogFile(uint64_t log_number, bool last_log,
     }
   }
 
-  // (LevelDB can reuse the last log file; we always roll a fresh one.)
-  (void)last_log;
-
   if (status.ok() && mem != nullptr && mem->ApproximateMemoryUsage() > 0) {
     *save_manifest = true;
     status = WriteLevel0Table(mem, edit, nullptr);
   }
   if (mem != nullptr) mem->Unref();
-  (void)compactions;
   return status;
 }
 
@@ -706,6 +696,7 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   Status s;
   obs::FlushJobInfo flush_info;
   flush_info.job_id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
+  flush_info.file_number = meta.number;
   {
     // Unlock while doing the actual dump.
     mutex_.unlock();
@@ -716,8 +707,13 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
     }
     obs::TraceSpan span(trace_.get(), flush_pid, 0, "flush memtable",
                         "flush");
+    for (obs::EventListener* l : listeners_) l->OnFlushBegin(flush_info);
     s = BuildTable(dbname_, env_, table_options_, table_cache_.get(),
-                   iter.get(), &meta, &listeners_, &flush_info);
+                   iter.get(), &meta, &flush_info.entries);
+    flush_info.output_bytes = meta.file_size;
+    flush_info.micros = sw.ElapsedNanos() / 1000;
+    flush_info.status = s;
+    for (obs::EventListener* l : listeners_) l->OnFlushCompleted(flush_info);
     mutex_.lock();
   }
   pending_outputs_.erase(meta.number);
@@ -747,7 +743,6 @@ Status DBImpl::WriteLevel0Table(MemTable* mem, VersionEdit* edit,
   metrics_.memtable_flushes++;
   metrics_.bytes_written += meta.file_size;
   flush_runs_counter_->Add(1);
-  (void)sw;
   return s;
 }
 
@@ -1125,11 +1120,7 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
     request.advisor_jobs = advisor_.jobs();
     request.level = c->level();
     request.predicted_write_amp = c->predicted_write_amp();
-    for (int which = 0; which < 2; which++) {
-      for (const FileMetaData* f : c->inputs(which)) {
-        request.input_bytes += f->file_size;
-      }
-    }
+    request.input_bytes = c->TotalInputBytes();
     const bool manual = manual_compaction_ != nullptr;
     lock.unlock();
     CompactionGrant grant = governor->Admit(request, [this, manual] {
@@ -1151,12 +1142,11 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   } else {
     decision = scheduler_->Admit(advisor_.Profile(), advisor_.jobs());
   }
-  CompactionExecutor* const executor =
-      executors_[static_cast<int>(decision.mode)].get();
+  const char* const executor_name = CompactionModeName(decision.mode);
 
   PIPELSM_LOG_INFO("compacting %d@%d + %d@%d files [%s]",
                    c->num_input_files(0), c->level(), c->num_input_files(1),
-                   c->output_level(), executor->name());
+                   c->output_level(), executor_name);
 
   CompactionJobOptions job;
   job.icmp = &internal_comparator_;
@@ -1186,6 +1176,7 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   job_info.job_id = next_job_id_.fetch_add(1, std::memory_order_relaxed);
   job_info.level = c->level();
   job_info.output_level = c->output_level();
+  job_info.executor = executor_name;
   job_info.style = CompactionStyleName(options_.compaction_style);
   job_info.predicted_write_amp = c->predicted_write_amp();
   job_info.input_files = c->num_input_files(0) + c->num_input_files(1);
@@ -1193,8 +1184,6 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   job_info.compute_parallelism = decision.compute_parallelism;
   job_info.adaptive = decision.adaptive;
   job_info.scheduler_rationale = decision.rationale;
-  job.listeners = &listeners_;
-  job.job_info = &job_info;
 
   obs::Log(info_log_,
            "EVENT adaptive_decision job=%llu level=%d output_level=%d "
@@ -1203,7 +1192,7 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
            static_cast<unsigned long long>(job_info.job_id), c->level(),
            c->output_level(), CompactionStyleName(options_.compaction_style),
            c->predicted_write_amp(),
-           CompactionModeName(decision.mode), decision.read_parallelism,
+           executor_name, decision.read_parallelism,
            decision.compute_parallelism, decision.adaptive ? 1 : 0,
            decision.rationale.c_str());
 
@@ -1226,23 +1215,22 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   // newest-to-oldest is unnecessary: internal keys carry sequence).
   std::vector<std::shared_ptr<Table>> inputs;
   Status status;
-  uint64_t input_bytes = 0;
+  const uint64_t input_bytes = c->TotalInputBytes();
   for (int which = 0; which < 2 && status.ok(); which++) {
     for (const FileMetaData* f : c->inputs(which)) {
       std::shared_ptr<Table> t;
       status = table_cache_->GetTable(f->number, f->file_size, &t);
       if (!status.ok()) break;
       inputs.push_back(std::move(t));
-      input_bytes += f->file_size;
     }
   }
 
   // ---- key-range sub-compaction fan-out (docs/COMPACTION.md) ----
-  // A large job may split at input-table boundary keys into disjoint
-  // (lo, hi] sub-ranges, each run by its own executor instance over the
-  // same open inputs. The fan-out is clamped by Options and by the
-  // parallelism this job was just granted, so a split never
-  // oversubscribes the scheduler/governor budget.
+  // Every job runs as `fanout` sub-jobs over disjoint (lo, hi] sub-ranges
+  // of the same open inputs, split at input-table boundary keys; an
+  // unsplit job is the single unbounded sub-job. The fan-out is clamped
+  // by Options and by the parallelism this job was just granted, so a
+  // split never oversubscribes the scheduler/governor budget.
   std::vector<std::string> split_keys;
   if (status.ok() && options_.max_subcompactions > 1) {
     uint64_t want = static_cast<uint64_t>(
@@ -1264,38 +1252,25 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   }
   const int fanout = static_cast<int>(split_keys.size()) + 1;
   job_info.subcompactions = fanout;
+  job_info.input_bytes = input_bytes;
 
-  CompactionSinkImpl sink(this);
+  // One sink per sub-job: each collects its sub-range's outputs in key
+  // order and tracks the file numbers it pulled into pending_outputs_.
+  std::vector<std::unique_ptr<CompactionSinkImpl>> sinks;
   StepProfile profile;
-  std::vector<std::unique_ptr<CompactionSinkImpl>> sub_sinks;
-  if (status.ok() && fanout == 1) {
-    job_info.input_bytes = input_bytes;
-    // Release the mutex while the executor runs (the expensive part).
-    // The executor fires OnCompactionBegin/Completed on listeners_ from
-    // this (unlocked) thread.
-    lock.unlock();
-    status = executor->Run(job, inputs, &sink, &profile);
-    lock.lock();
-  } else if (status.ok()) {
-    job_info.input_bytes = input_bytes;
+  if (status.ok()) {
     std::vector<CompactionJobOptions> sub_jobs(fanout, job);
-    std::vector<obs::CompactionJobInfo> sub_infos(fanout);
-    std::vector<std::unique_ptr<CompactionExecutor>> sub_execs;
+    std::vector<std::unique_ptr<CompactionExecutor>> executors;
     std::vector<StepProfile> sub_profiles(fanout);
     std::vector<Status> sub_status(fanout);
     for (int i = 0; i < fanout; i++) {
-      sub_sinks.emplace_back(new CompactionSinkImpl(this));
-      CompactionJobOptions& sj = sub_jobs[i];
+      sinks.push_back(std::make_unique<CompactionSinkImpl>(this));
       // Each sub-job runs a fresh executor instance on an equal share of
-      // the granted parallelism (floor 1). The parent fires the listener
-      // callbacks once for the whole job, so sub-jobs carry none — but
-      // they keep their own job_info so the executors still report
-      // per-sub subtask/output/profile totals to merge below.
+      // the granted parallelism (floor 1).
+      CompactionJobOptions& sj = sub_jobs[i];
       sj.read_parallelism = std::max(1, decision.read_parallelism / fanout);
       sj.compute_parallelism =
           std::max(1, decision.compute_parallelism / fanout);
-      sj.listeners = nullptr;
-      sj.job_info = &sub_infos[i];
       if (i > 0) {
         sj.range_unbounded_lo = false;
         sj.range_lo_user_key = split_keys[i - 1];
@@ -1304,53 +1279,47 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
         sj.range_unbounded_hi = false;
         sj.range_hi_user_key = split_keys[i];
       }
-      sub_execs.push_back(NewCompactionExecutor(decision.mode));
+      executors.push_back(NewCompactionExecutor(decision.mode));
     }
-    subcompacted_jobs_++;
-    subcompactions_run_ += fanout;
-    if (subcompaction_jobs_counter_ != nullptr) {
+    if (fanout > 1) {
       subcompaction_jobs_counter_->Add(1);
       subcompaction_runs_counter_->Add(fanout);
     }
     Stopwatch wall_sw;
+    // Release the mutex while the sub-jobs run (the expensive part).
     lock.unlock();
     // One Begin/Completed pair for the whole job: listeners (and through
     // them the advisor) digest a single job with merged totals. Begin
     // fires before planning, so subtasks is still 0 here.
     for (obs::EventListener* l : listeners_) l->OnCompactionBegin(job_info);
+    // Sub-job 0 runs on this thread, so an unsplit job starts none.
     std::vector<std::thread> threads;
     threads.reserve(fanout - 1);
     for (int i = 1; i < fanout; i++) {
       threads.emplace_back([&, i] {
-        sub_status[i] = sub_execs[i]->Run(sub_jobs[i], inputs,
-                                          sub_sinks[i].get(),
-                                          &sub_profiles[i]);
+        sub_status[i] = executors[i]->Run(sub_jobs[i], inputs,
+                                          sinks[i].get(), &sub_profiles[i]);
       });
     }
-    sub_status[0] = sub_execs[0]->Run(sub_jobs[0], inputs, sub_sinks[0].get(),
+    sub_status[0] = executors[0]->Run(sub_jobs[0], inputs, sinks[0].get(),
                                       &sub_profiles[0]);
     for (std::thread& t : threads) t.join();
-    uint64_t sub_output_bytes = 0;
-    uint64_t sub_subtasks = 0;
     for (int i = 0; i < fanout; i++) {
       if (status.ok() && !sub_status[i].ok()) status = sub_status[i];
       profile.Merge(sub_profiles[i]);
-      sub_subtasks += sub_infos[i].subtasks;
-      sub_output_bytes += sub_infos[i].output_bytes;
+      if (fanout == 1) continue;
       obs::Log(info_log_,
                "EVENT subcompaction job=%llu sub=%d/%d lo=%s hi=%s "
                "subtasks=%llu output_bytes=%llu status=%s",
                static_cast<unsigned long long>(job_info.job_id), i + 1,
                fanout, i > 0 ? split_keys[i - 1].c_str() : "-inf",
                i < fanout - 1 ? split_keys[i].c_str() : "+inf",
-               static_cast<unsigned long long>(sub_infos[i].subtasks),
-               static_cast<unsigned long long>(sub_infos[i].output_bytes),
-               sub_status[i].ok() ? "ok"
-                                  : sub_status[i].ToString().c_str());
+               static_cast<unsigned long long>(sub_profiles[i].subtasks),
+               static_cast<unsigned long long>(sub_profiles[i].output_bytes),
+               sub_status[i].ok() ? "ok" : sub_status[i].ToString().c_str());
     }
-    job_info.executor = executor->name();
-    job_info.subtasks = sub_subtasks;
-    job_info.output_bytes = sub_output_bytes;
+    job_info.subtasks = profile.subtasks;
+    job_info.output_bytes = profile.output_bytes;
     job_info.profile = profile;
     job_info.wall_micros =
         static_cast<uint64_t>(wall_sw.ElapsedNanos() / 1000);
@@ -1377,16 +1346,11 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
     // never a half-installed split.
     c->AddInputDeletions(c->edit());
     uint64_t output_bytes = 0;
-    auto install = [&](const OutputMeta& out) {
-      c->edit()->AddFile(c->output_level(), out.file_number, out.file_size,
-                         out.smallest, out.largest);
-      output_bytes += out.file_size;
-    };
-    if (fanout == 1) {
-      for (const OutputMeta& out : sink.outputs()) install(out);
-    } else {
-      for (const auto& ss : sub_sinks) {
-        for (const OutputMeta& out : ss->outputs()) install(out);
+    for (const auto& sink : sinks) {
+      for (const OutputMeta& out : sink->outputs()) {
+        c->edit()->AddFile(c->output_level(), out.file_number, out.file_size,
+                           out.smallest, out.largest);
+        output_bytes += out.file_size;
       }
     }
     status = versions_->LogAndApply(c->edit(), &mutex_);
@@ -1402,11 +1366,8 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   // the job allocated — including files abandoned half-written on an
   // error path. Uninstalled ones become garbage that RemoveObsoleteFiles
   // collects (on a sticky error, the next successful reopen's sweep).
-  for (uint64_t number : sink.allocated()) {
-    pending_outputs_.erase(number);
-  }
-  for (const auto& ss : sub_sinks) {
-    for (uint64_t number : ss->allocated()) {
+  for (const auto& sink : sinks) {
+    for (uint64_t number : sink->allocated()) {
       pending_outputs_.erase(number);
     }
   }
@@ -2324,8 +2285,8 @@ bool DBImpl::GetProperty(const Slice& property, std::string* value) {
         CompactionStyleName(options_.compaction_style),
         versions_->picker()->Name(), options_.tiered_run_count,
         options_.max_subcompactions, last_predicted_write_amp_,
-        static_cast<unsigned long long>(subcompacted_jobs_),
-        static_cast<unsigned long long>(subcompactions_run_));
+        static_cast<unsigned long long>(subcompaction_jobs_counter_->value()),
+        static_cast<unsigned long long>(subcompaction_runs_counter_->value()));
     out += buf;
     for (int level = 0; level < config::kNumLevels; level++) {
       const std::vector<FileMetaData*>& files = v->files(level);

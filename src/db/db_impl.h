@@ -34,7 +34,6 @@
 
 namespace pipelsm {
 
-class CompactionExecutor;
 class CompactionScheduler;
 
 class SnapshotImpl : public Snapshot {
@@ -90,9 +89,8 @@ class DBImpl final : public DB {
   // Recover the descriptor from persistent storage. May do a significant
   // amount of work to recover recently logged updates.
   Status Recover(VersionEdit* edit, bool* save_manifest);
-  Status RecoverLogFile(uint64_t log_number, bool last_log,
-                        bool* save_manifest, VersionEdit* edit,
-                        SequenceNumber* max_sequence);
+  Status RecoverLogFile(uint64_t log_number, bool* save_manifest,
+                        VersionEdit* edit, SequenceNumber* max_sequence);
 
   Status WriteLevel0Table(MemTable* mem, VersionEdit* edit, Version* base)
       /* REQUIRES: holding mutex_ */;
@@ -227,11 +225,8 @@ class DBImpl final : public DB {
   TableOptions table_options_;        // derived, for readers/flushes
   std::unique_ptr<TableCache> table_cache_;
 
-  // One executor per procedure, constructed up front (they are
-  // stateless); the scheduler picks which one runs each admitted job.
-  // With adaptive_compaction off the choice is Options::compaction_mode
-  // on every admission.
-  std::unique_ptr<CompactionExecutor> executors_[4];
+  // Picks the procedure each admitted job runs; with adaptive_compaction
+  // off the choice is Options::compaction_mode on every admission.
   std::unique_ptr<CompactionScheduler> scheduler_;
 
   std::mutex mutex_;
@@ -290,11 +285,9 @@ class DBImpl final : public DB {
   bool bg_retry_pending_ = false; // background loop owes a backoff+retry
   CompactionMetrics metrics_;
 
-  // Compaction-policy stats behind GetProperty("pipelsm.compaction")
-  // (docs/COMPACTION.md). All guarded by mutex_.
-  uint64_t subcompacted_jobs_ = 0;   // jobs that ran as >1 sub-job
-  uint64_t subcompactions_run_ = 0;  // total sub-jobs across them
-  double last_predicted_write_amp_ = 1.0;  // last installed job's estimate
+  // Last installed job's estimate, for GetProperty("pipelsm.compaction")
+  // (docs/COMPACTION.md). Guarded by mutex_.
+  double last_predicted_write_amp_ = 1.0;
 
   // Observability (docs/OBSERVABILITY.md): instrument registry behind
   // GetProperty("pipelsm.metrics") — has its own synchronization, and the

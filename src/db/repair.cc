@@ -163,8 +163,9 @@ class Repairer {
     FileMetaData meta;
     meta.number = next_file_number_++;
     std::unique_ptr<Iterator> iter(mem->NewIterator());
+    uint64_t entries = 0;
     status = BuildTable(dbname_, env_, table_options_, table_cache_.get(),
-                        iter.get(), &meta);
+                        iter.get(), &meta, &entries);
     iter.reset();
     mem->Unref();
     if (status.ok() && meta.file_size > 0) {

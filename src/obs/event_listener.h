@@ -2,10 +2,10 @@
 //
 // Where PR 1's metrics registry and trace collector are *pull* surfaces —
 // somebody has to ask for a snapshot — listeners are *pushed* to as the
-// pipeline runs: the builder announces every memtable dump, the
-// compaction executors announce every job (with the measured per-step
-// S1–S7 times the paper's Eqs. 1–7 consume), and the write path announces
-// every backpressure transition. The DB itself installs one internal
+// pipeline runs: the DB announces every memtable dump and every
+// compaction job (with the measured per-step S1–S7 times the paper's
+// Eqs. 1–7 consume), and the write path announces every backpressure
+// transition. The DB itself installs one internal
 // listener that turns the stream into info-log lines and feeds the online
 // bottleneck advisor (src/obs/advisor.h); user listeners on
 // Options::listeners ride the same dispatch.
@@ -28,9 +28,10 @@
 
 namespace pipelsm::obs {
 
-// One memtable dump (minor compaction). Fired from BuildTable: Begin
-// before the first block is built (only job_id / file_number are
-// meaningful), Completed after the output file is finished and verified.
+// One memtable dump (minor compaction). Fired by DBImpl around
+// BuildTable: Begin before the dump (only job_id / file_number are
+// meaningful), Completed after the output file is finished and verified
+// or the dump failed.
 struct FlushJobInfo {
   uint64_t job_id = 0;
   uint64_t file_number = 0;  // table file the memtable dumps into
@@ -40,10 +41,11 @@ struct FlushJobInfo {
   Status status;             // Completed only
 };
 
-// One major compaction. Fired from the executors (all four procedures):
-// Begin after planning — so subtasks is already the sub-task count —
-// and Completed after the write stage closed, with the measured
-// StepProfile (per-step S1–S7 nanos and bytes) and the final status.
+// One major compaction, whichever of the four procedures runs it. Fired
+// by DBImpl: Begin before planning, Completed after every sub-job ended,
+// with subtasks, output bytes and the measured StepProfile (per-step
+// S1–S7 nanos and bytes) merged across sub-jobs, and the final status.
+// A failed job's Completed carries whatever its sub-jobs measured.
 struct CompactionJobInfo {
   uint64_t job_id = 0;
   int level = 0;             // input level
@@ -54,8 +56,7 @@ struct CompactionJobInfo {
   const char* style = "leveled";
   double predicted_write_amp = 1.0;
   // Number of disjoint key-range sub-jobs the DB split this compaction
-  // into (1 = not sub-compacted). When > 1, Begin fires before planning
-  // with subtasks == 0 and Completed carries the merged totals.
+  // into (1 = not sub-compacted).
   int subcompactions = 1;
   // The CompactionScheduler's per-job verdict (src/compaction/scheduler.h),
   // filled by the DB before the executor runs, so Begin already carries
@@ -68,7 +69,7 @@ struct CompactionJobInfo {
   std::string scheduler_rationale;
   int input_files = 0;
   uint64_t input_bytes = 0;  // compressed bytes across input tables
-  uint64_t subtasks = 0;
+  uint64_t subtasks = 0;     // sub-tasks computed (Completed only)
   uint64_t output_bytes = 0; // raw bytes produced (Completed only)
   StepProfile profile;       // measured S1..S7 nanos/bytes (Completed only)
   uint64_t wall_micros = 0;  // end-to-end run time (Completed only)

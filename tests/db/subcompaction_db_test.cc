@@ -20,7 +20,7 @@ namespace {
 
 // Counts compaction listener events and checks the begin/completed
 // pairing contract survives the fan-out (exactly one pair per job, with
-// merged totals on Completed).
+// merged totals on Completed, failed jobs included).
 class CompactionCounter : public obs::EventListener {
  public:
   void OnCompactionBegin(const obs::CompactionJobInfo& info) override {
@@ -34,6 +34,12 @@ class CompactionCounter : public obs::EventListener {
       if (info.status.ok() && info.output_bytes > 0) {
         split_with_output_.fetch_add(1);
       }
+      if (!info.status.ok()) {
+        split_failed_.fetch_add(1);
+        if (info.profile.bytes[kStepRead] == 0) {
+          split_failed_unmeasured_.fetch_add(1);
+        }
+      }
     }
   }
 
@@ -42,6 +48,8 @@ class CompactionCounter : public obs::EventListener {
   std::atomic<int> split_begins_{0};
   std::atomic<int> split_completes_{0};
   std::atomic<int> split_with_output_{0};
+  std::atomic<int> split_failed_{0};
+  std::atomic<int> split_failed_unmeasured_{0};
 };
 
 class SubcompactionDBTest : public ::testing::Test {
@@ -222,6 +230,38 @@ TEST_F(SubcompactionDBTest, FailedSubjobInstallsNothing) {
   db_->CompactRange(nullptr, nullptr);
   ASSERT_TRUE(db_->WaitForCompactions().ok());
   EXPECT_EQ(before, Scan(db_.get()));
+}
+
+TEST_F(SubcompactionDBTest, FailedSplitJobReportsWhatItMeasured) {
+  Open(/*max_subcompactions=*/4);
+  // 20k distinct keys in scattered order (7919 is coprime to 20000), so
+  // flushes overlap and the tree holds real merge work.
+  for (int i = 0; i < 20000; i++) {
+    char key[32];
+    std::snprintf(key, sizeof(key), "k%06d", (i * 7919) % 20000);
+    ASSERT_TRUE(
+        db_->Put(WriteOptions(), key, std::string(key) + std::string(64, 'x'))
+            .ok());
+  }
+  ASSERT_TRUE(db_->WaitForCompactions().ok());
+  // Reopen: recovery dumps the memtable, so the manual compaction below
+  // has no flush to fail first.
+  Open(/*max_subcompactions=*/4);
+
+  // Every table append fails: each sub-job reads its inputs (S1), then
+  // dies in its write stage. The job's one Completed event must carry
+  // the merged profile of what its sub-jobs measured before failing.
+  fault_.SetPathFilter(FaultOp::kAppend, ".pst");
+  fault_.FailAfter(FaultOp::kAppend, 1,
+                   Status::IOError("injected: sub-job output append"),
+                   /*sticky=*/true);
+  db_->CompactRange(nullptr, nullptr);
+  EXPECT_GE(fault_.injected_failures(), 1u);
+  fault_.ClearFaults();
+
+  EXPECT_GE(counter_.split_failed_.load(), 1);
+  EXPECT_EQ(0, counter_.split_failed_unmeasured_.load());
+  EXPECT_EQ(counter_.begins_.load(), counter_.completes_.load());
 }
 
 TEST_F(SubcompactionDBTest, CrashMidSubcompactionRecovers) {

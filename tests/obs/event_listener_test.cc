@@ -219,6 +219,19 @@ TEST_P(EventListenerTest, EventLoggerWritesGrepableLogLines) {
   EXPECT_NE(std::string::npos,
             log.find(std::string("executor=") + ExecutorName(GetParam())));
   EXPECT_NE(std::string::npos, log.find("closing DB"));
+
+  // Each compaction_end line reports the sub-task count its event carried.
+  for (const auto& e : listener_.events()) {
+    if (e.kind != RecordingListener::kCompactionEnd) continue;
+    const size_t pos = log.find("EVENT compaction_end job=" +
+                                std::to_string(e.compaction.job_id) + " ");
+    ASSERT_NE(std::string::npos, pos) << "job " << e.compaction.job_id;
+    const std::string line = log.substr(pos, log.find('\n', pos) - pos);
+    EXPECT_NE(std::string::npos,
+              line.find(" subtasks=" + std::to_string(e.compaction.subtasks) +
+                        " "))
+        << line;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, EventListenerTest,

@@ -17,6 +17,11 @@
 //   5. table files leak: after reopen + compaction drain, a .pst file on
 //      disk is neither live in the version nor pending.
 //
+// Each iteration also draws max_subcompactions from {1, 4} (a draw of 4
+// sets I/O and compute parallelism to 4 and 2 KiB sub-tasks, so jobs
+// actually split), from an RNG of its own: the crash-point sequence of a
+// given --seed does not depend on the draw.
+//
 // The durability model: a successful sync write persists every prior WAL
 // record; power loss keeps some op-prefix of the unsynced tail. So after
 // a crash each key must read back its last synced value or any later
@@ -26,6 +31,7 @@
 //              [--env=sim|posix] [--db=PATH] [--seed=N] [--sync_every=N]
 //              [--value_threshold=N] [--verbose]
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +47,7 @@
 #include "src/db/filename.h"
 #include "src/env/fault_env.h"
 #include "src/env/sim_env.h"
+#include "src/obs/event_listener.h"
 #include "src/util/logging.h"
 #include "src/util/random.h"
 
@@ -145,6 +152,18 @@ const CrashPoint kVlogCrashPoints[] = {
     {FaultOp::kRemoveFile, 2, ".vlog"},
 };
 
+// Counts the compaction jobs the DB split into key-range sub-jobs.
+class SplitJobCounter : public obs::EventListener {
+ public:
+  void OnCompactionCompleted(const obs::CompactionJobInfo& info) override {
+    if (info.subcompactions > 1) jobs_.fetch_add(1, std::memory_order_relaxed);
+  }
+  uint64_t jobs() const { return jobs_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<uint64_t> jobs_{0};
+};
+
 CompactionMode ModeFromName(const std::string& name) {
   if (name == "scp") return CompactionMode::kSCP;
   if (name == "pcp") return CompactionMode::kPCP;
@@ -157,7 +176,11 @@ CompactionMode ModeFromName(const std::string& name) {
 class CrashTester {
  public:
   CrashTester(const Flags& flags, CompactionMode mode, Env* base)
-      : flags_(flags), mode_(mode), fault_(base, flags.seed), rng_(flags.seed) {
+      : flags_(flags),
+        mode_(mode),
+        fault_(base, flags.seed),
+        rng_(flags.seed),
+        config_rng_(flags.seed ^ 0x5bd1e995u) {
     options_.env = &fault_;
     options_.create_if_missing = true;
     options_.compaction_mode = mode;
@@ -166,6 +189,7 @@ class CrashTester {
     options_.max_background_retries = 1;    // fail fast once crashed
     options_.background_retry_backoff_micros = 100;
     options_.background_retry_backoff_max_micros = 100;
+    options_.listeners.push_back(&split_jobs_);
     crash_points_.assign(std::begin(kCrashPoints), std::end(kCrashPoints));
     if (flags.value_threshold > 0) {
       options_.value_separation_threshold =
@@ -186,14 +210,18 @@ class CrashTester {
     }
     std::printf(
         "[%s] %d iterations: %d crashes fired, %" PRIu64
-        " injected failures, %d ops acked, %d verification failures\n",
+        " injected failures, %d ops acked, %" PRIu64
+        " split jobs, %d verification failures\n",
         CompactionModeName(mode_), flags_.iterations, crashes_fired_,
-        fault_.injected_failures(), acked_ops_, failures);
+        fault_.injected_failures(), acked_ops_, split_jobs_.jobs(), failures);
     return failures;
   }
 
  private:
   int RunIteration(int iter) {
+    const int subcompactions = config_rng_.OneIn(2) ? 4 : 1;
+    SetSubcompactions(subcompactions);
+
     // Arm one crash point before open, so recovery/flush/compaction code
     // paths can be hit too, not just the write path.
     const CrashPoint& point =
@@ -207,9 +235,11 @@ class CrashTester {
       fault_.SetPathFilter(op, point.path_filter);
     }
     if (flags_.verbose) {
-      std::printf("iter %d: crash after %d x %s%s%s\n", iter, countdown,
-                  FaultOpName(op), point.path_filter != nullptr ? " @" : "",
-                  point.path_filter != nullptr ? point.path_filter : "");
+      std::printf("iter %d: crash after %d x %s%s%s, subcompactions=%d\n",
+                  iter, countdown, FaultOpName(op),
+                  point.path_filter != nullptr ? " @" : "",
+                  point.path_filter != nullptr ? point.path_filter : "",
+                  subcompactions);
     }
 
     DB* raw = nullptr;
@@ -244,6 +274,19 @@ class CrashTester {
     int failures = Verify(db.get(), iter);
     failures += CheckNoLeakedTables(db.get(), iter);
     return failures;
+  }
+
+  // The sub-compaction axis. A split needs a granted parallelism and an
+  // input of at least two sub-tasks per sub-job, so a draw above 1 also
+  // widens the pipeline and shrinks the sub-tasks: this workload's jobs
+  // read 13-50 KB of compressed input.
+  void SetSubcompactions(int n) {
+    const Options defaults;
+    const bool split = n > 1;
+    options_.max_subcompactions = n;
+    options_.io_parallelism = split ? 4 : defaults.io_parallelism;
+    options_.compute_parallelism = split ? 4 : defaults.compute_parallelism;
+    options_.subtask_bytes = split ? 2 << 10 : defaults.subtask_bytes;
   }
 
   void RunWorkload(DB* db, int iter) {
@@ -394,6 +437,8 @@ class CrashTester {
   std::vector<CrashPoint> crash_points_;
   FaultInjectionEnv fault_;
   Random rng_;
+  Random config_rng_;  // configuration axes only
+  SplitJobCounter split_jobs_;
   Options options_;
   Model model_;
   int crashes_fired_ = 0;
