@@ -5,10 +5,11 @@
 // between CPU- and I/O-bound regimes — but its procedures are chosen
 // offline. This bench runs a workload whose regime shifts mid-run (small
 // highly compressible values, then large incompressible ones) through
-// every static procedure and through the adaptive CompactionScheduler
-// (docs/TUNING.md), and gates the adaptive run at >= 0.90x of the best
-// static choice *per phase*: the scheduler must track the shift closely
-// enough that no phase pays more than ~10% for not being pinned.
+// every static procedure and through CompactionMode::kAuto's adaptive
+// CompactionScheduler (docs/TUNING.md), and gates the adaptive run at
+// >= 0.90x of the best static choice *per phase*: the scheduler must
+// track the shift closely enough that no phase pays more than ~10% for
+// not being pinned.
 //
 // Usage:
 //   bench_adaptive           full sweep + gate (exit 1 on gate failure)
@@ -81,8 +82,7 @@ class DecisionListener : public obs::EventListener {
 
 struct RunConfig {
   const char* label = "";
-  bool adaptive = false;
-  CompactionMode mode = CompactionMode::kPCP;
+  CompactionMode mode = CompactionMode::kAuto;
   int read_parallelism = 1;
   int compute_parallelism = 1;
 };
@@ -105,7 +105,6 @@ RunResult RunPhased(const RunConfig& cfg,
   options.compaction_mode = cfg.mode;
   options.io_parallelism = cfg.read_parallelism;
   options.compute_parallelism = cfg.compute_parallelism;
-  options.adaptive_compaction = cfg.adaptive;
   options.max_compute_workers = 4;
   options.max_stripe_width = 4;
   // The gate charges the adaptive run for its transition lag, so react
@@ -190,7 +189,6 @@ int Main(int argc, char** argv) {
                 "tiny phase-shift run; decisions printed, no gate");
     RunConfig cfg;
     cfg.label = "adaptive";
-    cfg.adaptive = true;
     RunResult run = RunPhased(cfg, phases);
     for (const Decision& d : run.decisions) {
       std::printf(
@@ -214,10 +212,10 @@ int Main(int argc, char** argv) {
       "phase-shifting fill; gate: adaptive >= 0.90x best static per phase");
 
   const std::vector<RunConfig> statics = {
-      {"SCP", false, CompactionMode::kSCP, 1, 1},
-      {"PCP", false, CompactionMode::kPCP, 1, 1},
-      {"S-PPCP k=4", false, CompactionMode::kSPPCP, 4, 1},
-      {"C-PPCP k=4", false, CompactionMode::kCPPCP, 1, 4},
+      {"SCP", CompactionMode::kSCP, 1, 1},
+      {"PCP", CompactionMode::kPCP, 1, 1},
+      {"S-PPCP k=4", CompactionMode::kSPPCP, 4, 1},
+      {"C-PPCP k=4", CompactionMode::kCPPCP, 1, 4},
   };
 
   std::printf("%-14s", "config");
@@ -236,7 +234,6 @@ int Main(int argc, char** argv) {
 
   RunConfig adaptive_cfg;
   adaptive_cfg.label = "adaptive";
-  adaptive_cfg.adaptive = true;
   const RunResult adaptive = RunPhased(adaptive_cfg, phases);
   std::printf("%-14s", adaptive_cfg.label);
   for (const PhaseResult& r : adaptive.phases) {

@@ -42,7 +42,8 @@ class CompactionExecutor {
 };
 
 // Factory. For kPCP/kSPPCP/kCPPCP the parallelism comes from
-// CompactionJobOptions (read_parallelism / compute_parallelism).
+// CompactionJobOptions (read_parallelism / compute_parallelism). kAuto is
+// not an executor (the scheduler resolves it per job): nullptr.
 std::unique_ptr<CompactionExecutor> NewCompactionExecutor(CompactionMode mode);
 
 }  // namespace pipelsm

@@ -283,6 +283,8 @@ std::unique_ptr<CompactionExecutor> NewCompactionExecutor(
       return std::make_unique<PipelinedExecutor>("S-PPCP");
     case CompactionMode::kCPPCP:
       return std::make_unique<PipelinedExecutor>("C-PPCP");
+    case CompactionMode::kAuto:
+      break;  // the scheduler resolves it to a procedure before any job
   }
   return nullptr;
 }
@@ -297,8 +299,28 @@ const char* CompactionModeName(CompactionMode mode) {
       return "S-PPCP";
     case CompactionMode::kCPPCP:
       return "C-PPCP";
+    case CompactionMode::kAuto:
+      return "auto";
   }
   return "unknown";
+}
+
+bool ParseCompactionMode(const std::string& name, CompactionMode* mode) {
+  static constexpr struct {
+    const char* name;
+    CompactionMode mode;
+  } kModes[] = {{"scp", CompactionMode::kSCP},
+                {"pcp", CompactionMode::kPCP},
+                {"sppcp", CompactionMode::kSPPCP},
+                {"cppcp", CompactionMode::kCPPCP},
+                {"auto", CompactionMode::kAuto}};
+  for (const auto& m : kModes) {
+    if (name == m.name) {
+      *mode = m.mode;
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace pipelsm

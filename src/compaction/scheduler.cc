@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <thread>
 
 #include "src/obs/metrics.h"
 
@@ -14,6 +15,9 @@ namespace {
 // scheduler falls back to the sequential procedure.
 constexpr double kMinPipelineGain = 1.02;
 
+constexpr const char* kStaticRationale =
+    "explicit compaction_mode; static choice";
+
 constexpr const char* kModeMetricNames[4] = {
     "scheduler.choice.scp", "scheduler.choice.pcp",
     "scheduler.choice.sppcp", "scheduler.choice.cppcp"};
@@ -25,6 +29,17 @@ void AppendEscaped(std::string* out, const std::string& s) {
   }
 }
 
+// Applies the host-core cap to the compute-worker bounds.
+SchedulerOptions CapComputeWorkers(SchedulerOptions o) {
+  if (o.host_cores > 0) {
+    o.max_compute_workers =
+        std::min(o.max_compute_workers, std::max(1, o.host_cores - 1));
+    o.min_compute_workers =
+        std::min(o.min_compute_workers, o.max_compute_workers);
+  }
+  return o;
+}
+
 }  // namespace
 
 // Key the vtable here so every TU sharing the interface agrees on one
@@ -33,8 +48,8 @@ CompactionGovernor::~CompactionGovernor() = default;
 
 SchedulerOptions SchedulerOptions::FromOptions(const Options& options) {
   SchedulerOptions s;
-  s.adaptive = options.adaptive_compaction;
-  s.static_mode = options.compaction_mode;
+  s.adaptive = options.compaction_mode == CompactionMode::kAuto;
+  s.static_mode = s.adaptive ? CompactionMode::kPCP : options.compaction_mode;
   s.static_read_parallelism = std::max(1, options.io_parallelism);
   s.static_compute_parallelism = std::max(1, options.compute_parallelism);
   s.min_compute_workers = std::max(1, options.min_compute_workers);
@@ -45,17 +60,21 @@ SchedulerOptions SchedulerOptions::FromOptions(const Options& options) {
   s.hysteresis_jobs = std::max(1, options.scheduler_hysteresis_jobs);
   s.warmup_jobs = std::max(0, options.scheduler_warmup_jobs);
   s.min_gain = std::max(1.0, options.scheduler_min_gain);
+  // Slow-motion compute sleeps (d-1)/d of its time, so a run dilated d
+  // times emulates d times the host's cores.
+  s.host_cores = static_cast<int>(
+      std::thread::hardware_concurrency() *
+      std::max(1.0, options.compaction_time_dilation));
   return s;
 }
 
 CompactionScheduler::CompactionScheduler(const SchedulerOptions& options,
                                          obs::MetricsRegistry* metrics)
-    : opts_(options) {
+    : opts_(CapComputeWorkers(options)) {
   current_.mode = opts_.static_mode;
   current_.read_parallelism = opts_.static_read_parallelism;
   current_.compute_parallelism = opts_.static_compute_parallelism;
-  last_rationale_ = opts_.adaptive ? "no admissions yet"
-                                   : "adaptive_compaction off; static choice";
+  last_rationale_ = opts_.adaptive ? "no admissions yet" : kStaticRationale;
   if (metrics != nullptr) {
     decisions_counter_ = metrics->RegisterCounter(
         "scheduler.decisions", "compaction admissions the scheduler ruled on");
@@ -126,15 +145,17 @@ SchedulerDecision CompactionScheduler::Admit(const model::StepTimes& profile,
   std::lock_guard<std::mutex> lock(mu_);
   decisions_++;
   if (!opts_.adaptive) {
-    last_rationale_ = "adaptive_compaction off; static choice";
+    last_rationale_ = kStaticRationale;
     return Render(current_, /*adaptive=*/false, last_rationale_);
   }
-  if (advisor_jobs < uint64_t(opts_.warmup_jobs)) {
+  // Even with no warm-up, a prescription needs one measured job: the
+  // empty profile of a fresh DB would read as "pipelining gains nothing".
+  const int warmup_jobs = std::max(1, opts_.warmup_jobs);
+  if (advisor_jobs < uint64_t(warmup_jobs)) {
     char buf[96];
     std::snprintf(buf, sizeof(buf),
                   "warming up: advisor has %llu of %d jobs; static choice",
-                  static_cast<unsigned long long>(advisor_jobs),
-                  opts_.warmup_jobs);
+                  static_cast<unsigned long long>(advisor_jobs), warmup_jobs);
     last_rationale_ = buf;
     return Render(current_, /*adaptive=*/false, last_rationale_);
   }
@@ -213,10 +234,10 @@ std::string CompactionScheduler::ToJson() const {
   std::snprintf(
       buf, sizeof(buf),
       "\"bounds\":{\"compute_workers\":[%d,%d],\"stripe_width\":[%d,%d]},"
-      "\"hysteresis_jobs\":%d,\"warmup_jobs\":%d,",
+      "\"hysteresis_jobs\":%d,\"warmup_jobs\":%d,\"host_cores\":%d,",
       opts_.min_compute_workers, opts_.max_compute_workers,
       opts_.min_stripe_width, opts_.max_stripe_width, opts_.hysteresis_jobs,
-      opts_.warmup_jobs);
+      opts_.warmup_jobs, opts_.host_cores);
   out.append(buf);
   out.append("\"rationale\":\"");
   AppendEscaped(&out, last_rationale_);

@@ -11,10 +11,12 @@
 // pipeline moves between I/O- and CPU-bound (Figures 6 and 12).
 //
 // Decision rule per admission, on the advisor's decayed StepTimes t:
-//   1. Before `warmup_jobs` completed compactions (or with adaptive off)
-//      the static Options choice applies verbatim.
+//   1. An explicit Options::compaction_mode applies verbatim to every
+//      job. Under CompactionMode::kAuto, jobs run PCP until the advisor
+//      has digested `warmup_jobs` (at least one) completed compactions.
 //   2. model::Prescribe(t) picks S-PPCP/C-PPCP at the Eq. 4/6 saturation
-//      k — clamped into [min,max] stripe width / compute workers — or
+//      k — clamped into [min,max] stripe width / compute workers, with
+//      compute workers also capped at the host's cores minus one — or
 //      plain PCP when neither parallel variant's ideal gain reaches
 //      `min_gain`.
 //   3. If even pipelining gains ~nothing (Eq. 3 speedup below
@@ -46,9 +48,10 @@ class MetricsRegistry;
 }  // namespace obs
 
 struct SchedulerOptions {
-  bool adaptive = false;
+  bool adaptive = false;  // Options::compaction_mode == kAuto
 
   // The static configuration, used before warmup / with adaptive off.
+  // Never kAuto: FromOptions maps it to PCP.
   CompactionMode static_mode = CompactionMode::kPCP;
   int static_read_parallelism = 1;
   int static_compute_parallelism = 1;
@@ -62,6 +65,12 @@ struct SchedulerOptions {
   int hysteresis_jobs = 3;
   int warmup_jobs = 2;
   double min_gain = 1.1;
+
+  // Cores on the host (FromOptions: std::thread::hardware_concurrency(),
+  // times Options::compaction_time_dilation). The scheduler picks at most
+  // max(1, host_cores - 1) compute workers, leaving one core for the
+  // foreground writer. 0 = unknown: no cap.
+  int host_cores = 0;
 
   static SchedulerOptions FromOptions(const Options& options);
 };

@@ -385,9 +385,8 @@ DBImpl::DBImpl(const Options& raw_options, const std::string& dbname)
                        ls.ToString().c_str());
     }
   }
-  obs::Log(info_log_, "opening DB %s (mode=%s%s, subtask=%zu KB)",
+  obs::Log(info_log_, "opening DB %s (mode=%s, subtask=%zu KB)",
            dbname_.c_str(), CompactionModeName(options_.compaction_mode),
-           options_.adaptive_compaction ? "+adaptive" : "",
            options_.subtask_bytes >> 10);
 
   event_logger_ = std::make_unique<EventLogger>(this);

@@ -225,8 +225,9 @@ class DBImpl final : public DB {
   TableOptions table_options_;        // derived, for readers/flushes
   std::unique_ptr<TableCache> table_cache_;
 
-  // Picks the procedure each admitted job runs; with adaptive_compaction
-  // off the choice is Options::compaction_mode on every admission.
+  // Picks the procedure each admitted job runs: per job under
+  // CompactionMode::kAuto, else Options::compaction_mode on every
+  // admission.
   std::unique_ptr<CompactionScheduler> scheduler_;
 
   std::mutex mutex_;

@@ -29,10 +29,24 @@ class Cache;
 //   kSCP   — Sequential Compaction Procedure (the LevelDB baseline),
 //   kPCP   — 3-stage Pipelined Compaction Procedure,
 //   kSPPCP — Storage-Parallel PCP (stripe S1/S7 over multiple devices),
-//   kCPPCP — Computation-Parallel PCP (k compute workers).
-enum class CompactionMode { kSCP = 0, kPCP = 1, kSPPCP = 2, kCPPCP = 3 };
+//   kCPPCP — Computation-Parallel PCP (k compute workers),
+//   kAuto  — the CompactionScheduler (src/compaction/scheduler.h) picks
+//            one of the four and its k per job from the measured step
+//            profile (paper §III-C); jobs run PCP until it has one.
+enum class CompactionMode {
+  kSCP = 0,
+  kPCP = 1,
+  kSPPCP = 2,
+  kCPPCP = 3,
+  kAuto = 4,
+};
 
+// "SCP", "PCP", "S-PPCP", "C-PPCP" or "auto".
 const char* CompactionModeName(CompactionMode mode);
+
+// Parses the lower-case flag spelling "scp", "pcp", "sppcp", "cppcp" or
+// "auto" into *mode; false (and *mode untouched) for anything else.
+bool ParseCompactionMode(const std::string& name, CompactionMode* mode);
 
 // Which *picker* decides what gets compacted (docs/COMPACTION.md). The
 // executor above decides HOW one job runs; the style decides WHICH files
@@ -121,7 +135,10 @@ struct Options {
   const FilterPolicy* filter_policy = nullptr;
 
   // -------- compaction procedure (the paper's contribution) --------
-  CompactionMode compaction_mode = CompactionMode::kPCP;
+  // kAuto (default) lets the scheduler size every job; an explicit
+  // procedure runs every job verbatim with io_parallelism /
+  // compute_parallelism below.
+  CompactionMode compaction_mode = CompactionMode::kAuto;
 
   // -------- compaction policy (docs/COMPACTION.md) --------
   // Which CompactionPicker decides the shape of every job (see the enum
@@ -167,21 +184,22 @@ struct Options {
   double compaction_time_dilation = 1.0;
 
   // -------- adaptive compaction scheduling (docs/TUNING.md) --------
-  // When true, the procedure and parallelism degree of every major
-  // compaction are chosen per job by the CompactionScheduler
+  // Under CompactionMode::kAuto the procedure and parallelism degree of
+  // every major compaction are chosen per job by the CompactionScheduler
   // (src/compaction/scheduler.h): it evaluates the paper's Eqs. 1-7 on
   // the bottleneck advisor's decayed step profile at each admission, so
   // the executor tracks whether the pipeline is currently I/O- or
-  // CPU-bound instead of freezing compaction_mode at DB::Open. When
-  // false (default), compaction_mode / io_parallelism /
-  // compute_parallelism above apply verbatim to every job.
-  bool adaptive_compaction = false;
+  // CPU-bound. The knobs below tune that loop; an explicit mode ignores
+  // them.
 
   // Bounds on the per-job parallelism the scheduler may choose. The
   // model's saturation k (Eqs. 4/6) is clamped into these ranges: cap
   // max_stripe_width at the real stripe count of the device (reader
   // threads beyond it just queue on the same channels) and
-  // max_compute_workers at the cores you can spare for compaction.
+  // max_compute_workers at the cores you can spare for compaction (the
+  // scheduler never picks more than the host's cores minus one, leaving
+  // one for the foreground writer; compaction_time_dilation multiplies
+  // the cores, as slow-motion compute mostly sleeps).
   int min_compute_workers = 1;
   int max_compute_workers = 4;
   int min_stripe_width = 1;
@@ -194,8 +212,9 @@ struct Options {
   int scheduler_hysteresis_jobs = 3;
 
   // Completed compactions the advisor must have digested before adaptive
-  // decisions begin; until then the static compaction_mode applies (the
-  // decayed profile of the first job or two is mostly noise).
+  // decisions begin; until then jobs run PCP (the decayed profile of the
+  // first job or two is mostly noise). 0 acts as 1: the first job of a
+  // fresh DB has no profile to act on.
   int scheduler_warmup_jobs = 2;
 
   // A stage-parallel procedure (S-PPCP/C-PPCP) is only chosen when its

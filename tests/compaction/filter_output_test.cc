@@ -117,6 +117,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, FilterOutputTest,
                              case CompactionMode::kPCP: return "PCP";
                              case CompactionMode::kSPPCP: return "SPPCP";
                              case CompactionMode::kCPPCP: return "CPPCP";
+                             case CompactionMode::kAuto: return "auto";
                            }
                            return "unknown";
                          });

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -230,9 +231,86 @@ TEST(CompactionScheduler, ToJsonParsesAndReportsCandidateStreak) {
   EXPECT_EQ(nullptr, steady.Find("candidate"));
 }
 
+// The host cap leaves one core for the foreground writer: at 1 or 2
+// cores no compute worker can be spared, so a CPU-bound profile stays on
+// PCP; at 8 cores k stops at 7 even when the model and the bounds allow
+// more.
+TEST(CompactionScheduler, HostCoresCapComputeWorkers) {
+  const model::StepTimes very_cpu_bound = Times(1e-3, 20e-3, 1e-3);  // k=20
+  for (int cores : {1, 2}) {
+    SchedulerOptions o = Adaptive();
+    o.host_cores = cores;
+    CompactionScheduler s(o, nullptr);
+    for (const model::StepTimes& t : {CpuBound(), very_cpu_bound}) {
+      const SchedulerDecision d = s.Admit(t, 10);
+      EXPECT_EQ(CompactionMode::kPCP, d.mode) << cores << " cores";
+      EXPECT_EQ(1, d.compute_parallelism) << cores << " cores";
+    }
+  }
+  for (int max_workers : {4, 16}) {
+    SchedulerOptions o = Adaptive();
+    o.host_cores = 8;
+    o.max_compute_workers = max_workers;
+    CompactionScheduler s(o, nullptr);
+    const SchedulerDecision d = s.Admit(very_cpu_bound, 10);
+    EXPECT_EQ(CompactionMode::kCPPCP, d.mode);
+    EXPECT_EQ(std::min(max_workers, 7), d.compute_parallelism);
+  }
+  // The cap never touches an explicit mode's configured parallelism.
+  SchedulerOptions o;
+  o.static_mode = CompactionMode::kCPPCP;
+  o.static_compute_parallelism = 6;
+  o.host_cores = 2;
+  CompactionScheduler s(o, nullptr);
+  EXPECT_EQ(6, s.Admit(CpuBound(), 10).compute_parallelism);
+}
+
+TEST(CompactionScheduler, FromOptionsDerivesAdaptiveFromMode) {
+  Options options;
+  EXPECT_EQ(CompactionMode::kAuto, options.compaction_mode);
+  SchedulerOptions s = SchedulerOptions::FromOptions(options);
+  EXPECT_TRUE(s.adaptive);
+  EXPECT_EQ(CompactionMode::kPCP, s.static_mode) << "warm-up runs PCP";
+  for (CompactionMode mode :
+       {CompactionMode::kSCP, CompactionMode::kPCP, CompactionMode::kSPPCP,
+        CompactionMode::kCPPCP}) {
+    options.compaction_mode = mode;
+    s = SchedulerOptions::FromOptions(options);
+    EXPECT_FALSE(s.adaptive) << CompactionModeName(mode);
+    EXPECT_EQ(mode, s.static_mode);
+  }
+  // Slow-motion compute mostly sleeps: a 3x dilated run counts 3x cores.
+  const int cores = SchedulerOptions::FromOptions(Options()).host_cores;
+  options.compaction_time_dilation = 3.0;
+  EXPECT_EQ(3 * cores, SchedulerOptions::FromOptions(options).host_cores);
+}
+
+TEST(CompactionScheduler, ParseCompactionModeRoundTrips) {
+  const struct {
+    const char* flag;
+    CompactionMode mode;
+    const char* name;
+  } kCases[] = {{"scp", CompactionMode::kSCP, "SCP"},
+                {"pcp", CompactionMode::kPCP, "PCP"},
+                {"sppcp", CompactionMode::kSPPCP, "S-PPCP"},
+                {"cppcp", CompactionMode::kCPPCP, "C-PPCP"},
+                {"auto", CompactionMode::kAuto, "auto"}};
+  for (const auto& c : kCases) {
+    CompactionMode mode = CompactionMode::kSCP;
+    ASSERT_TRUE(ParseCompactionMode(c.flag, &mode)) << c.flag;
+    EXPECT_EQ(c.mode, mode) << c.flag;
+    EXPECT_STREQ(c.name, CompactionModeName(mode));
+  }
+  CompactionMode mode = CompactionMode::kSPPCP;
+  for (const char* bad : {"", "PCP", "adaptive", "c-ppcp", "auto "}) {
+    EXPECT_FALSE(ParseCompactionMode(bad, &mode)) << bad;
+  }
+  EXPECT_EQ(CompactionMode::kSPPCP, mode) << "failed parse leaves *mode";
+}
+
 TEST(CompactionScheduler, FromOptionsClampsDegenerateBounds) {
   Options options;
-  options.adaptive_compaction = true;
+  options.compaction_mode = CompactionMode::kAuto;
   options.min_compute_workers = 0;
   options.max_compute_workers = -3;
   options.min_stripe_width = 5;

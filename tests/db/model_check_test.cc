@@ -1,7 +1,8 @@
 // Randomized model check: a long random sequence of puts, deletes,
 // overwrites and reopens applied both to the DB and to a std::map
 // reference; after every phase the DB must agree with the model exactly
-// — under every compaction executor.
+// — under every compaction executor, and under kAuto, whose scheduler
+// switches executor between jobs (no warm-up, hysteresis 1).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +23,11 @@ struct ModelParams {
 
 class DbModelCheck : public ::testing::TestWithParam<ModelParams> {
  protected:
-  DbModelCheck() {
+  // kAuto runs on the simulated SSD: on the free null device compute is
+  // the whole job and the scheduler would only ever pick SCP.
+  DbModelCheck()
+      : env_(GetParam().mode == CompactionMode::kAuto ? DeviceProfile::Ssd()
+                                                      : DeviceProfile::Null()) {
     options_.env = &env_;
     options_.create_if_missing = true;
     options_.compaction_mode = GetParam().mode;
@@ -33,6 +38,10 @@ class DbModelCheck : public ::testing::TestWithParam<ModelParams> {
     options_.write_buffer_size = 32 << 10;  // rotate often
     options_.max_file_size = 32 << 10;
     options_.subtask_bytes = 8 << 10;
+    if (GetParam().mode == CompactionMode::kAuto) {
+      options_.scheduler_warmup_jobs = 0;
+      options_.scheduler_hysteresis_jobs = 1;
+    }
   }
 
   void Open() {
@@ -115,7 +124,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ModelParams{CompactionMode::kPCP, 202},
                       ModelParams{CompactionMode::kPCP, 203},
                       ModelParams{CompactionMode::kSPPCP, 303},
-                      ModelParams{CompactionMode::kCPPCP, 404}),
+                      ModelParams{CompactionMode::kCPPCP, 404},
+                      ModelParams{CompactionMode::kAuto, 505}),
     [](const ::testing::TestParamInfo<ModelParams>& info) {
       std::string name = CompactionModeName(info.param.mode);
       name.erase(std::remove(name.begin(), name.end(), '-'), name.end());

@@ -90,6 +90,7 @@ const char* ExecutorName(CompactionMode mode) {
     case CompactionMode::kPCP:   return "PCP";
     case CompactionMode::kSPPCP: return "S-PPCP";
     case CompactionMode::kCPPCP: return "C-PPCP";
+    case CompactionMode::kAuto:  return "auto";
   }
   return "?";
 }

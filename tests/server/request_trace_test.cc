@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "src/client/client.h"
 #include "src/db/db.h"
@@ -83,6 +86,16 @@ class RequestTraceTest : public ::testing::Test {
     return contents;
   }
 
+  long long SlowRequests() {
+    for (const obs::MetricSample& s :
+         server_->metrics_registry()->Snapshot()) {
+      if (s.name == "server.slow_requests") {
+        return static_cast<long long>(s.counter);
+      }
+    }
+    return -1;
+  }
+
   std::string dbname_;
   std::string log_path_;
   Options options_;
@@ -94,18 +107,37 @@ class RequestTraceTest : public ::testing::Test {
   std::unique_ptr<client::Client> client_;
 };
 
+// The warm-up PUT opens the WAL and, with sync_writes on, pays the first
+// fsync: on a loaded host that alone can cross the 10 ms threshold, so
+// the test compares against the log and the slow-request counter as they
+// stand once the warm-up is fully finished, not against zero.
 TEST_F(RequestTraceTest, SlowRequestLineAccountsForInjectedDbDelay) {
   ServerOptions sopts;
   sopts.slow_request_micros = 10 * 1000;  // 10 ms threshold
   StartServer(sopts);
   client::Client* cli = NewClient();
-  ASSERT_TRUE(cli->Put("fast", "v").ok());  // under threshold: no line
+  ASSERT_TRUE(cli->Put("fast", "v").ok());
 
   // 60 ms injected into the WAL append puts the PUT's db stage well over
   // the threshold, and the breakdown must attribute it to db_micros.
   fault_.SetPathFilter(FaultOp::kAppend, ".log");
   fault_.SetDelayMicros(FaultOp::kAppend, 60 * 1000);
-  ASSERT_TRUE(cli->Put("slow", "v").ok());
+  fault_.ClearCounters();
+  std::future<client::Result> slow = cli->AsyncPut("slow", "v");
+  cli->Flush();
+  // One group-commit thread runs both PUTs in order, and it finishes a
+  // request (slow line included) before taking the next. So once the
+  // slow PUT's WAL append has begun its 60 ms sleep, the warm-up is done
+  // and the slow PUT's line is not yet written: the state to compare to.
+  while (fault_.counter(FaultOp::kAppend) == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const size_t offset = ReadLog().size();
+  const long long slow_before = SlowRequests();
+  ASSERT_NE(std::future_status::ready,
+            slow.wait_for(std::chrono::seconds(0)))
+      << "the slow PUT was answered before the state was taken";
+  ASSERT_TRUE(cli->Wait(slow).status.ok());
   fault_.ClearFaults();
 
   // The reply reaches the client before the server stamps the request
@@ -114,21 +146,22 @@ TEST_F(RequestTraceTest, SlowRequestLineAccountsForInjectedDbDelay) {
   size_t at = std::string::npos;
   for (int i = 0; i < 500 && at == std::string::npos; i++) {
     log = ReadLog();
-    at = log.find("EVENT slow_request type=PUT");
+    at = log.find("EVENT slow_request type=PUT", offset);
     if (at == std::string::npos) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   }
   ASSERT_NE(std::string::npos, at) << log;
-  // Exactly one slow line: the fast warm-up PUT stayed under threshold.
+  // Exactly one slow line since the warm-up.
   EXPECT_EQ(std::string::npos, log.find("EVENT slow_request", at + 1));
+  const std::string line = log.substr(at);
   const long long total =
-      EventField(log, "EVENT slow_request", "total_micros");
-  const long long db = EventField(log, "EVENT slow_request", "db_micros");
+      EventField(line, "EVENT slow_request", "total_micros");
+  const long long db = EventField(line, "EVENT slow_request", "db_micros");
   const long long queue =
-      EventField(log, "EVENT slow_request", "queue_micros");
+      EventField(line, "EVENT slow_request", "queue_micros");
   const long long reply =
-      EventField(log, "EVENT slow_request", "reply_micros");
+      EventField(line, "EVENT slow_request", "reply_micros");
   EXPECT_GE(db, 50 * 1000) << log;   // injected delay shows up in db stage
   EXPECT_GE(total, db);              // stages nest inside the total
   EXPECT_GE(queue, 0);
@@ -136,13 +169,7 @@ TEST_F(RequestTraceTest, SlowRequestLineAccountsForInjectedDbDelay) {
   EXPECT_LE(queue + db + reply, total + 1000);  // consistent breakdown
 
   // The slow-request counter ticked exactly once.
-  long long slow_count = -1;
-  for (const obs::MetricSample& s : server_->metrics_registry()->Snapshot()) {
-    if (s.name == "server.slow_requests") {
-      slow_count = static_cast<long long>(s.counter);
-    }
-  }
-  EXPECT_EQ(1, slow_count);
+  EXPECT_EQ(slow_before + 1, SlowRequests());
 }
 
 TEST_F(RequestTraceTest, ThresholdZeroDisablesSlowRequestLines) {

@@ -22,12 +22,19 @@
 // actually split), from an RNG of its own: the crash-point sequence of a
 // given --seed does not depend on the draw.
 //
+// --mode=auto runs the compaction scheduler with no warm-up and a
+// hysteresis of 1 (on the simulated SSD under --env=sim) and drives a
+// manual compaction every 250 ops, so executor switches happen inside
+// one iteration; each mode's summary counts the jobs admitted per
+// procedure.
+//
 // The durability model: a successful sync write persists every prior WAL
 // record; power loss keeps some op-prefix of the unsynced tail. So after
 // a crash each key must read back its last synced value or any later
 // unsynced value (background flushes may persist past the sync barrier).
 //
-//   crash_test [--iterations=N] [--ops=N] [--mode=all|scp|pcp|sppcp|cppcp]
+//   crash_test [--iterations=N] [--ops=N]
+//              [--mode=all|auto|scp|pcp|sppcp|cppcp]
 //              [--env=sim|posix] [--db=PATH] [--seed=N] [--sync_every=N]
 //              [--value_threshold=N] [--verbose]
 #include <algorithm>
@@ -152,26 +159,42 @@ const CrashPoint kVlogCrashPoints[] = {
     {FaultOp::kRemoveFile, 2, ".vlog"},
 };
 
-// Counts the compaction jobs the DB split into key-range sub-jobs.
-class SplitJobCounter : public obs::EventListener {
+// Counts the compaction jobs admitted per procedure, and those the DB
+// split into key-range sub-jobs.
+class JobCounter : public obs::EventListener {
  public:
-  void OnCompactionCompleted(const obs::CompactionJobInfo& info) override {
-    if (info.subcompactions > 1) jobs_.fetch_add(1, std::memory_order_relaxed);
+  static constexpr int kProcedures = 4;  // SCP, PCP, S-PPCP, C-PPCP
+
+  void OnCompactionBegin(const obs::CompactionJobInfo& info) override {
+    for (int m = 0; m < kProcedures; m++) {
+      if (std::strcmp(info.executor, CompactionModeName(CompactionMode(m))) ==
+          0) {
+        admitted_[m].fetch_add(1, std::memory_order_relaxed);
+      }
+    }
   }
-  uint64_t jobs() const { return jobs_.load(std::memory_order_relaxed); }
+  void OnCompactionCompleted(const obs::CompactionJobInfo& info) override {
+    if (info.subcompactions > 1) split_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  uint64_t split_jobs() const { return split_.load(std::memory_order_relaxed); }
+
+  // "SCP=a PCP=b S-PPCP=c C-PPCP=d"
+  std::string AdmittedSummary() const {
+    std::string out;
+    for (int m = 0; m < kProcedures; m++) {
+      if (m > 0) out += ' ';
+      out += CompactionModeName(CompactionMode(m));
+      out += '=';
+      out += std::to_string(admitted_[m].load(std::memory_order_relaxed));
+    }
+    return out;
+  }
 
  private:
-  std::atomic<uint64_t> jobs_{0};
+  std::atomic<uint64_t> admitted_[kProcedures] = {};
+  std::atomic<uint64_t> split_{0};
 };
-
-CompactionMode ModeFromName(const std::string& name) {
-  if (name == "scp") return CompactionMode::kSCP;
-  if (name == "pcp") return CompactionMode::kPCP;
-  if (name == "sppcp") return CompactionMode::kSPPCP;
-  if (name == "cppcp") return CompactionMode::kCPPCP;
-  std::fprintf(stderr, "unknown mode '%s'\n", name.c_str());
-  std::exit(2);
-}
 
 class CrashTester {
  public:
@@ -189,7 +212,14 @@ class CrashTester {
     options_.max_background_retries = 1;    // fail fast once crashed
     options_.background_retry_backoff_micros = 100;
     options_.background_retry_backoff_max_micros = 100;
-    options_.listeners.push_back(&split_jobs_);
+    options_.listeners.push_back(&jobs_);
+    if (mode == CompactionMode::kAuto) {
+      // Adapt from the first digested job on, and switch on one
+      // prescription (RunWorkload also drives manual compactions, so one
+      // iteration runs several jobs).
+      options_.scheduler_warmup_jobs = 0;
+      options_.scheduler_hysteresis_jobs = 1;
+    }
     crash_points_.assign(std::begin(kCrashPoints), std::end(kCrashPoints));
     if (flags.value_threshold > 0) {
       options_.value_separation_threshold =
@@ -211,9 +241,10 @@ class CrashTester {
     std::printf(
         "[%s] %d iterations: %d crashes fired, %" PRIu64
         " injected failures, %d ops acked, %" PRIu64
-        " split jobs, %d verification failures\n",
+        " split jobs, admitted %s, %d verification failures\n",
         CompactionModeName(mode_), flags_.iterations, crashes_fired_,
-        fault_.injected_failures(), acked_ops_, split_jobs_.jobs(), failures);
+        fault_.injected_failures(), acked_ops_, jobs_.split_jobs(),
+        jobs_.AdmittedSummary().c_str(), failures);
     return failures;
   }
 
@@ -331,6 +362,14 @@ class CrashTester {
           !fault_.crashed()) {
         db->CompactValueLog();
       }
+      // Under auto, a DB instance rarely reaches a second background job
+      // before the crash, and the scheduler needs one digested job to
+      // act on: periodic manual compactions (one job per occupied level)
+      // put executor switches inside the crash window.
+      if (mode_ == CompactionMode::kAuto && (op % 250) == 249 &&
+          !fault_.crashed()) {
+        db->CompactRange(nullptr, nullptr);
+      }
     }
   }
 
@@ -438,7 +477,7 @@ class CrashTester {
   FaultInjectionEnv fault_;
   Random rng_;
   Random config_rng_;  // configuration axes only
-  SplitJobCounter split_jobs_;
+  JobCounter jobs_;
   Options options_;
   Model model_;
   int crashes_fired_ = 0;
@@ -449,9 +488,14 @@ int RunAll(const Flags& flags) {
   std::vector<CompactionMode> modes;
   if (flags.mode == "all") {
     modes = {CompactionMode::kSCP, CompactionMode::kPCP,
-             CompactionMode::kSPPCP, CompactionMode::kCPPCP};
+             CompactionMode::kSPPCP, CompactionMode::kCPPCP,
+             CompactionMode::kAuto};
   } else {
-    modes = {ModeFromName(flags.mode)};
+    modes.resize(1);
+    if (!ParseCompactionMode(flags.mode, &modes[0])) {
+      std::fprintf(stderr, "unknown mode '%s'\n", flags.mode.c_str());
+      return 2;
+    }
   }
 
   int failures = 0;
@@ -461,7 +505,11 @@ int RunAll(const Flags& flags) {
         std::max(1, flags.iterations / static_cast<int>(modes.size()));
     per_mode.seed = flags.seed + static_cast<uint32_t>(mode) * 7919;
     if (flags.env == "sim") {
-      SimEnv env;
+      // On the free null device compute is the whole job, so the
+      // scheduler rightly picks SCP every time; auto iterations run on
+      // the simulated SSD, whose I/O cost makes it switch executors.
+      SimEnv env(mode == CompactionMode::kAuto ? DeviceProfile::Ssd()
+                                               : DeviceProfile::Null());
       CrashTester tester(per_mode, mode, &env);
       failures += tester.Run();
     } else if (flags.env == "posix") {

@@ -31,7 +31,9 @@
 //   --db=PATH                DB directory (default /tmp/pipelsm_bench)
 //   --device=posix|ssd|hdd|hddx<k>|null
 //                            storage: the real FS or a simulated device
-//   --compaction=scp|pcp|sppcp|cppcp
+//   --compaction=auto|scp|pcp|sppcp|cppcp
+//                            auto (default): the compaction scheduler
+//                            picks the procedure and k per job
 //   --compaction_style=leveled|tiered|lazy
 //                            which-to-compact policy (docs/COMPACTION.md)
 //   --tiered_run_count=N     runs per level before tiered/lazy compacts
@@ -41,10 +43,8 @@
 //                            to the value log (0 = off)
 //   --write_buffer_kb=N --file_kb=N --subtask_kb=N --block=N
 //   --compute_parallelism=N --io_parallelism=N --queue_depth=N
-//   --adaptive               per-job executor choice by the compaction
-//                            scheduler (Options::adaptive_compaction)
 //   --max_compute_workers=N --max_stripe_width=N
-//                            adaptive bounds on the chosen k
+//                            --compaction=auto bounds on the chosen k
 //   --hysteresis=N           consecutive agreeing admissions before the
 //                            scheduler switches executor
 //   --warmup_jobs=N          compactions digested before adapting
@@ -105,7 +105,7 @@ struct Flags {
   std::string benchmarks = "fillrandom,readrandom,overwrite,readseq,stats";
   std::string db = "/tmp/pipelsm_bench";
   std::string device = "posix";
-  std::string compaction = "pcp";
+  std::string compaction = "auto";
   std::string compaction_style = "leveled";
   int tiered_run_count = 4;
   int max_subcompactions = 1;
@@ -122,7 +122,6 @@ struct Flags {
   int compute_parallelism = 1;
   int io_parallelism = 1;
   size_t queue_depth = 4;
-  bool adaptive = false;
   int max_compute_workers = 4;
   int max_stripe_width = 4;
   int hysteresis = 3;
@@ -193,15 +192,7 @@ class Benchmark {
 
     options_.env = env_;
     options_.create_if_missing = true;
-    if (flags_.compaction == "scp") {
-      options_.compaction_mode = CompactionMode::kSCP;
-    } else if (flags_.compaction == "pcp") {
-      options_.compaction_mode = CompactionMode::kPCP;
-    } else if (flags_.compaction == "sppcp") {
-      options_.compaction_mode = CompactionMode::kSPPCP;
-    } else if (flags_.compaction == "cppcp") {
-      options_.compaction_mode = CompactionMode::kCPPCP;
-    } else {
+    if (!ParseCompactionMode(flags_.compaction, &options_.compaction_mode)) {
       std::fprintf(stderr, "unknown --compaction=%s\n",
                    flags_.compaction.c_str());
       std::exit(2);
@@ -226,7 +217,6 @@ class Benchmark {
     options_.compute_parallelism = flags_.compute_parallelism;
     options_.io_parallelism = flags_.io_parallelism;
     options_.pipeline_queue_depth = flags_.queue_depth;
-    options_.adaptive_compaction = flags_.adaptive;
     options_.max_compute_workers = flags_.max_compute_workers;
     options_.max_stripe_width = flags_.max_stripe_width;
     options_.scheduler_hysteresis_jobs = flags_.hysteresis;
@@ -260,10 +250,10 @@ class Benchmark {
     }
 
     std::printf("pipelsm db_bench\n");
-    std::printf("  db=%s device=%s compaction=%s%s style=%s"
+    std::printf("  db=%s device=%s compaction=%s style=%s"
                 " max_subcompactions=%d\n",
                 flags_.db.c_str(), flags_.device.c_str(),
-                flags_.compaction.c_str(), flags_.adaptive ? " (adaptive)" : "",
+                flags_.compaction.c_str(),
                 CompactionStyleName(options_.compaction_style),
                 flags_.max_subcompactions);
     std::printf("  entries=%llu (%zuB key + %zuB value), reads=%llu\n",
@@ -674,10 +664,6 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--advisor") == 0) {
       flags.advisor = true;
-      continue;
-    }
-    if (std::strcmp(argv[i], "--adaptive") == 0) {
-      flags.adaptive = true;
       continue;
     }
     std::string v;

@@ -9,7 +9,9 @@
 //                           binds an ephemeral port and prints it)
 //   --io_threads=N          epoll I/O loops (default 2)
 //   --workers=N             read-path worker threads (default 4)
-//   --compaction=scp|pcp|sppcp|cppcp
+//   --compaction=auto|scp|pcp|sppcp|cppcp
+//                           (default auto: the scheduler picks each job's
+//                           procedure and k)
 //   --compaction_style=leveled|tiered|lazy
 //                           which CompactionPicker shapes jobs (must not
 //                           change across reopens of one directory)
@@ -107,7 +109,7 @@ bool ParseNumFlag(const char* arg, const char* name, T* out) {
 
 int main(int argc, char** argv) {
   std::string db_path = "/tmp/pipelsm_server";
-  std::string compaction = "pcp";
+  std::string compaction = "auto";
   std::string compaction_style = "leveled";
   int tiered_run_count = 4;
   int max_subcompactions = 1;
@@ -219,15 +221,7 @@ int main(int argc, char** argv) {
                  compaction_style.c_str());
     return 2;
   }
-  if (compaction == "scp") {
-    options.compaction_mode = pipelsm::CompactionMode::kSCP;
-  } else if (compaction == "pcp") {
-    options.compaction_mode = pipelsm::CompactionMode::kPCP;
-  } else if (compaction == "sppcp") {
-    options.compaction_mode = pipelsm::CompactionMode::kSPPCP;
-  } else if (compaction == "cppcp") {
-    options.compaction_mode = pipelsm::CompactionMode::kCPPCP;
-  } else {
+  if (!pipelsm::ParseCompactionMode(compaction, &options.compaction_mode)) {
     std::fprintf(stderr, "unknown --compaction=%s\n", compaction.c_str());
     return 2;
   }
