@@ -168,14 +168,12 @@ SubcompactionRun RunSubcompaction(int max_subcompactions) {
   // job already spends the granted read/compute budget internally, so
   // splitting merely redistributes it.) Four stripes + four granted
   // readers: max_subcompactions=4 runs 4 concurrent SCP pipelines, one
-  // per stripe. The x8 slow-motion domain lets their compute overlap
-  // genuinely on small hosts, as in A3.
-  SimEnv env(DilatedProfile(DeviceProfile::Ssd(4), 8.0));
+  // per stripe, in real time on the host's cores.
+  SimEnv env(DeviceProfile::Ssd(4));
   Options options;
   options.env = &env;
   options.create_if_missing = true;
   options.compaction_mode = CompactionMode::kSCP;
-  options.compaction_time_dilation = 8.0;
   options.io_parallelism = 4;
   options.compute_parallelism = 4;
   options.write_buffer_size = 256 << 10;
@@ -306,7 +304,7 @@ int main() {
 
   // ---- A7: key-range sub-compactions ----
   std::printf("\nA7. sub-compaction split (manual full compaction, SCP, "
-              "SSD RAID0x4, x8 domain)\n");
+              "SSD RAID0x4, real time)\n");
   SubcompactionRun serial = RunSubcompaction(1);
   SubcompactionRun split = RunSubcompaction(4);
   std::printf("%-26s %10.1f ms\n", "max_subcompactions=1",

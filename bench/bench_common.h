@@ -144,12 +144,13 @@ struct DbRun {
   std::string metrics_json;    // GetProperty("pipelsm.metrics") snapshot
 };
 
+// DB-level runs are in real time: slow motion is job-level only
+// (CompactionRun), as a live DB's scheduler sizes k from the real host.
 struct DbBenchConfig {
   DeviceProfile device = DeviceProfile::Ssd();
   CompactionMode mode = CompactionMode::kPCP;
   int read_parallelism = 1;
   int compute_parallelism = 1;
-  double time_dilation = 1.0;
 
   uint64_t num_entries = 50000;
   size_t key_size = 16;
@@ -174,14 +175,13 @@ struct DbBenchConfig {
 // Fills a fresh DB on a simulated device and reports system throughput +
 // compaction bandwidth (Figs 10 and 12, panels (a)(b)(d)(e)).
 inline DbRun RunDbFill(const DbBenchConfig& cfg) {
-  SimEnv env(DilatedProfile(cfg.device, cfg.time_dilation));
+  SimEnv env(cfg.device);
   Options options;
   options.env = &env;
   options.create_if_missing = true;
   options.compaction_mode = cfg.mode;
   options.io_parallelism = cfg.read_parallelism;
   options.compute_parallelism = cfg.compute_parallelism;
-  options.compaction_time_dilation = cfg.time_dilation;
   options.write_buffer_size = cfg.write_buffer_size;
   options.max_file_size = cfg.max_file_size;
   options.subtask_bytes = cfg.subtask_bytes;

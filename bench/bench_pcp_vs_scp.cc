@@ -35,7 +35,6 @@ void RunDevice(const char* label, const DeviceProfile& device,
       cfg.mode = m == 0 ? CompactionMode::kSCP : CompactionMode::kPCP;
       cfg.num_entries = entries;
       cfg.subtask_bytes = subtask_bytes;
-      cfg.time_dilation = 3.0;  // paper's writer/compaction core separation
       runs[m] = RunDbFillMedian(cfg);
       if (m == 0) {
         scp_steps = model::StepTimes::FromProfile(runs[0].metrics.profile);

@@ -44,7 +44,6 @@ int main() {
     dbcfg.mode = cfg.mode;
     dbcfg.read_parallelism = disks;
     dbcfg.num_entries = static_cast<uint64_t>(20000 * Scale());
-    dbcfg.time_dilation = 3.0;
     DbRun db = RunDbFill(dbcfg);
 
     std::printf("%-6d %14.1f %8.2fx %8.2fx %12.0f\n", disks,

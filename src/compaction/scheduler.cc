@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "src/env/env.h"
 #include "src/obs/metrics.h"
 
 namespace pipelsm {
@@ -29,18 +30,15 @@ void AppendEscaped(std::string* out, const std::string& s) {
   }
 }
 
-// Applies the host-core cap to the compute-worker bounds.
-SchedulerOptions CapComputeWorkers(SchedulerOptions o) {
-  if (o.host_cores > 0) {
-    o.max_compute_workers =
-        std::min(o.max_compute_workers, std::max(1, o.host_cores - 1));
-    o.min_compute_workers =
-        std::min(o.min_compute_workers, o.max_compute_workers);
-  }
-  return o;
-}
-
 }  // namespace
+
+ParallelismBounds MachineBounds(Env* env) {
+  ParallelismBounds b;
+  b.stripe_width = std::max(1, env->StripeCount());
+  b.compute_workers =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()) - 1);
+  return b;
+}
 
 // Key the vtable here so every TU sharing the interface agrees on one
 // definition.
@@ -52,25 +50,18 @@ SchedulerOptions SchedulerOptions::FromOptions(const Options& options) {
   s.static_mode = s.adaptive ? CompactionMode::kPCP : options.compaction_mode;
   s.static_read_parallelism = std::max(1, options.io_parallelism);
   s.static_compute_parallelism = std::max(1, options.compute_parallelism);
-  s.min_compute_workers = std::max(1, options.min_compute_workers);
-  s.max_compute_workers =
-      std::max(s.min_compute_workers, options.max_compute_workers);
-  s.min_stripe_width = std::max(1, options.min_stripe_width);
-  s.max_stripe_width = std::max(s.min_stripe_width, options.max_stripe_width);
+  const ParallelismBounds machine =
+      MachineBounds(options.env != nullptr ? options.env : Env::Posix());
+  s.max_compute_workers = machine.compute_workers;
+  s.max_stripe_width = machine.stripe_width;
   s.hysteresis_jobs = std::max(1, options.scheduler_hysteresis_jobs);
   s.warmup_jobs = std::max(0, options.scheduler_warmup_jobs);
-  s.min_gain = std::max(1.0, options.scheduler_min_gain);
-  // Slow-motion compute sleeps (d-1)/d of its time, so a run dilated d
-  // times emulates d times the host's cores.
-  s.host_cores = static_cast<int>(
-      std::thread::hardware_concurrency() *
-      std::max(1.0, options.compaction_time_dilation));
   return s;
 }
 
 CompactionScheduler::CompactionScheduler(const SchedulerOptions& options,
                                          obs::MetricsRegistry* metrics)
-    : opts_(CapComputeWorkers(options)) {
+    : opts_(options) {
   current_.mode = opts_.static_mode;
   current_.read_parallelism = opts_.static_read_parallelism;
   current_.compute_parallelism = opts_.static_compute_parallelism;
@@ -98,10 +89,12 @@ CompactionScheduler::Choice CompactionScheduler::Target(
            "pays queue handoffs";
     return c;
   }
-  const bool cpu_bound = model::IsCpuBound(t);
-  const int max_k =
-      cpu_bound ? opts_.max_compute_workers : opts_.max_stripe_width;
-  const model::Prescription p = model::Prescribe(t, opts_.min_gain, max_k);
+  // Prescribe caps k at max_k and re-evaluates the gain there, so a k
+  // the machine cannot run never justifies a switch.
+  const int max_k = model::IsCpuBound(t) ? opts_.max_compute_workers
+                                         : opts_.max_stripe_width;
+  const model::Prescription p =
+      model::Prescribe(t, model::kMinParallelGain, max_k);
   *why = p.reason;
   switch (p.procedure) {
     case model::Prescription::kSCP:
@@ -112,13 +105,11 @@ CompactionScheduler::Choice CompactionScheduler::Target(
       break;
     case model::Prescription::kSPPCP:
       c.mode = CompactionMode::kSPPCP;
-      c.read_parallelism = std::clamp(p.k, opts_.min_stripe_width,
-                                      opts_.max_stripe_width);
+      c.read_parallelism = p.k;
       break;
     case model::Prescription::kCPPCP:
       c.mode = CompactionMode::kCPPCP;
-      c.compute_parallelism = std::clamp(p.k, opts_.min_compute_workers,
-                                         opts_.max_compute_workers);
+      c.compute_parallelism = p.k;
       break;
   }
   return c;
@@ -233,11 +224,10 @@ std::string CompactionScheduler::ToJson() const {
   }
   std::snprintf(
       buf, sizeof(buf),
-      "\"bounds\":{\"compute_workers\":[%d,%d],\"stripe_width\":[%d,%d]},"
-      "\"hysteresis_jobs\":%d,\"warmup_jobs\":%d,\"host_cores\":%d,",
-      opts_.min_compute_workers, opts_.max_compute_workers,
-      opts_.min_stripe_width, opts_.max_stripe_width, opts_.hysteresis_jobs,
-      opts_.warmup_jobs, opts_.host_cores);
+      "\"bounds\":{\"compute_workers\":[1,%d],\"stripe_width\":[1,%d]},"
+      "\"hysteresis_jobs\":%d,\"warmup_jobs\":%d,",
+      opts_.max_compute_workers, opts_.max_stripe_width,
+      opts_.hysteresis_jobs, opts_.warmup_jobs);
   out.append(buf);
   out.append("\"rationale\":\"");
   AppendEscaped(&out, last_rationale_);

@@ -15,10 +15,10 @@
 //      job. Under CompactionMode::kAuto, jobs run PCP until the advisor
 //      has digested `warmup_jobs` (at least one) completed compactions.
 //   2. model::Prescribe(t) picks S-PPCP/C-PPCP at the Eq. 4/6 saturation
-//      k — clamped into [min,max] stripe width / compute workers, with
-//      compute workers also capped at the host's cores minus one — or
-//      plain PCP when neither parallel variant's ideal gain reaches
-//      `min_gain`.
+//      k — capped by the machine (MachineBounds: the Env's stripe count
+//      for readers, the host's cores minus one for compute workers) — or
+//      plain PCP when neither parallel variant's ideal gain at that k
+//      reaches model::kMinParallelGain.
 //   3. If even pipelining gains ~nothing (Eq. 3 speedup below
 //      kMinPipelineGain: one stage is essentially the whole job), SCP is
 //      chosen — a pipeline that cannot overlap anything only pays queue
@@ -42,10 +42,25 @@
 
 namespace pipelsm {
 
+class Env;
+
 namespace obs {
 class Counter;
 class MetricsRegistry;
 }  // namespace obs
+
+// Upper bounds on a job's parallelism degree k; 0 = unbounded.
+struct ParallelismBounds {
+  int stripe_width = 0;     // S1 readers (S-PPCP's k)
+  int compute_workers = 0;  // compute workers (C-PPCP's k)
+};
+
+// The bounds the hardware sets, as in the paper: S-PPCP's k is the
+// number of RAID0 members S1/S7 stripe over (Eq. 4), here
+// env->StripeCount(); C-PPCP's k is the cores the compute stage can use
+// (Eq. 6), here the host's cores minus the one left for the foreground
+// writer, at least 1.
+ParallelismBounds MachineBounds(Env* env);
 
 struct SchedulerOptions {
   bool adaptive = false;  // Options::compaction_mode == kAuto
@@ -56,21 +71,13 @@ struct SchedulerOptions {
   int static_read_parallelism = 1;
   int static_compute_parallelism = 1;
 
-  // Bounds on the k the scheduler may choose (Options::min/max_*).
-  int min_compute_workers = 1;
+  // The k the scheduler may choose lies in [1, max] (FromOptions:
+  // MachineBounds of Options::env; <= 0 = unbounded).
   int max_compute_workers = 4;
-  int min_stripe_width = 1;
   int max_stripe_width = 4;
 
   int hysteresis_jobs = 3;
   int warmup_jobs = 2;
-  double min_gain = 1.1;
-
-  // Cores on the host (FromOptions: std::thread::hardware_concurrency(),
-  // times Options::compaction_time_dilation). The scheduler picks at most
-  // max(1, host_cores - 1) compute workers, leaving one core for the
-  // foreground writer. 0 = unknown: no cap.
-  int host_cores = 0;
 
   static SchedulerOptions FromOptions(const Options& options);
 };

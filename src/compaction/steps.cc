@@ -1,6 +1,7 @@
 #include "src/compaction/steps.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <thread>
 
 #include "src/table/block.h"
@@ -333,12 +334,14 @@ Status ComputeSubTask(const CompactionJobOptions& options, RawSubTask raw,
 }
 
 DeviceProfile DilatedProfile(DeviceProfile profile, double dilation) {
-  if (dilation > 1.0) {
+  if (dilation > 0 && dilation != 1.0) {
     profile.read_position_us *= dilation;
     profile.write_position_us *= dilation;
     profile.read_bw_bps /= dilation;
     profile.write_bw_bps /= dilation;
-    profile.name += "-x" + std::to_string(static_cast<int>(dilation));
+    char suffix[32];
+    std::snprintf(suffix, sizeof(suffix), "-x%.3g", dilation);
+    profile.name += suffix;
   }
   return profile;
 }

@@ -195,7 +195,10 @@ struct CompactionJobOptions {
 };
 
 // Returns `profile` slowed down by `dilation` (bandwidths divided,
-// positioning costs multiplied) for use alongside time-dilated jobs.
+// positioning costs multiplied) for use alongside time-dilated jobs. A
+// dilation below 1 speeds the device up instead: a real-time run on
+// DilatedProfile(p, 1/d) keeps the stage ratios of a run whose compute
+// alone was dilated d times.
 DeviceProfile DilatedProfile(DeviceProfile profile, double dilation);
 
 }  // namespace pipelsm

@@ -38,14 +38,6 @@ Options SanitizeOptions(const Options& src) {
   if (result.max_open_files < 16) result.max_open_files = 16;
   if (result.compute_parallelism < 1) result.compute_parallelism = 1;
   if (result.io_parallelism < 1) result.io_parallelism = 1;
-  if (result.min_compute_workers < 1) result.min_compute_workers = 1;
-  if (result.max_compute_workers < result.min_compute_workers) {
-    result.max_compute_workers = result.min_compute_workers;
-  }
-  if (result.min_stripe_width < 1) result.min_stripe_width = 1;
-  if (result.max_stripe_width < result.min_stripe_width) {
-    result.max_stripe_width = result.min_stripe_width;
-  }
   if (result.scheduler_hysteresis_jobs < 1) {
     result.scheduler_hysteresis_jobs = 1;
   }
@@ -58,7 +50,6 @@ Options SanitizeOptions(const Options& src) {
   if (result.max_subcompactions < 1) result.max_subcompactions = 1;
   if (result.max_subcompactions > 16) result.max_subcompactions = 16;
   if (result.scheduler_warmup_jobs < 0) result.scheduler_warmup_jobs = 0;
-  if (result.scheduler_min_gain < 1.0) result.scheduler_min_gain = 1.0;
   if (result.pipeline_queue_depth < 1) result.pipeline_queue_depth = 1;
   if (result.max_background_retries < 0) result.max_background_retries = 0;
   // Value-log knobs (docs/VALUE_LOG.md): a frame must fit its segment,
@@ -1157,7 +1148,6 @@ Status DBImpl::DoCompactionWork(std::unique_lock<std::mutex>& lock,
   job.read_parallelism = decision.read_parallelism;
   job.compute_parallelism = decision.compute_parallelism;
   job.queue_depth = options_.pipeline_queue_depth;
-  job.time_dilation = options_.compaction_time_dilation;
   job.filter_policy = table_options_.filter_policy;
   job.filter_partition_bytes = table_options_.filter_partition_bytes;
   job.metrics = &metrics_registry_;

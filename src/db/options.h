@@ -178,32 +178,16 @@ struct Options {
   // Depth of the bounded queues between pipeline stages.
   size_t pipeline_queue_depth = 4;
 
-  // Slow-motion factor for compaction experiments on hosts with fewer
-  // cores than the paper's testbed (see CompactionJobOptions::
-  // time_dilation). 1.0 = real time.
-  double compaction_time_dilation = 1.0;
-
   // -------- adaptive compaction scheduling (docs/TUNING.md) --------
   // Under CompactionMode::kAuto the procedure and parallelism degree of
   // every major compaction are chosen per job by the CompactionScheduler
   // (src/compaction/scheduler.h): it evaluates the paper's Eqs. 1-7 on
   // the bottleneck advisor's decayed step profile at each admission, so
   // the executor tracks whether the pipeline is currently I/O- or
-  // CPU-bound. The knobs below tune that loop; an explicit mode ignores
-  // them.
-
-  // Bounds on the per-job parallelism the scheduler may choose. The
-  // model's saturation k (Eqs. 4/6) is clamped into these ranges: cap
-  // max_stripe_width at the real stripe count of the device (reader
-  // threads beyond it just queue on the same channels) and
-  // max_compute_workers at the cores you can spare for compaction (the
-  // scheduler never picks more than the host's cores minus one, leaving
-  // one for the foreground writer; compaction_time_dilation multiplies
-  // the cores, as slow-motion compute mostly sleeps).
-  int min_compute_workers = 1;
-  int max_compute_workers = 4;
-  int min_stripe_width = 1;
-  int max_stripe_width = 4;
+  // CPU-bound. The model's saturation k (Eqs. 4/6) is capped by the
+  // machine, not by a knob: readers by env->StripeCount(), compute
+  // workers by the host's cores minus one (MachineBounds). The knobs
+  // below tune that loop; an explicit mode ignores them.
 
   // Hysteresis window: the scheduler switches executor only after this
   // many consecutive admissions prescribe the same (procedure, k) that
@@ -216,11 +200,6 @@ struct Options {
   // first job or two is mostly noise). 0 acts as 1: the first job of a
   // fresh DB has no profile to act on.
   int scheduler_warmup_jobs = 2;
-
-  // A stage-parallel procedure (S-PPCP/C-PPCP) is only chosen when its
-  // ideal gain over plain PCP (Eqs. 5/7, at the clamped k) reaches this
-  // factor; below it the scheduler stays on PCP.
-  double scheduler_min_gain = 1.1;
 
   // -------- fleet scheduling (docs/SHARDING.md) --------
   // When non-null, every compaction admission goes through this governor

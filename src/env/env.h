@@ -89,6 +89,11 @@ class Env {
 
   virtual uint64_t NowMicros() = 0;
   virtual void SleepForMicroseconds(int micros) = 0;
+
+  // Independent I/O channels behind this environment (RAID0 members):
+  // the most S1 reads that transfer at once, so S-PPCP's bound on k
+  // (Eq. 4). Default 1: a plain filesystem does not reveal striping.
+  virtual int StripeCount() { return 1; }
 };
 
 // Convenience helpers.

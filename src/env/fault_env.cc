@@ -454,4 +454,6 @@ void FaultInjectionEnv::SleepForMicroseconds(int micros) {
   base_->SleepForMicroseconds(micros);
 }
 
+int FaultInjectionEnv::StripeCount() { return base_->StripeCount(); }
+
 }  // namespace pipelsm

@@ -132,6 +132,7 @@ class FaultInjectionEnv final : public Env {
   Status SyncDir(const std::string& dirname) override;
   uint64_t NowMicros() override;
   void SleepForMicroseconds(int micros) override;
+  int StripeCount() override;
 
  private:
   friend class FaultWritableFile;

@@ -282,6 +282,10 @@ void SimEnv::SleepForMicroseconds(int micros) {
   std::this_thread::sleep_for(std::chrono::microseconds(micros));
 }
 
+int SimEnv::StripeCount() {
+  return std::max(1, device_.profile().stripe_count);
+}
+
 Status SimEnv::CorruptFile(const std::string& fname, uint64_t offset,
                            size_t n) {
   auto file = FindFile(fname);

@@ -48,6 +48,7 @@ class SimEnv final : public Env {
 
   uint64_t NowMicros() override;
   void SleepForMicroseconds(int micros) override;
+  int StripeCount() override;
 
   // Test hook: flip `n` bytes of `fname` starting at `offset` (corruption
   // injection for checksum-path tests).

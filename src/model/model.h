@@ -87,6 +87,11 @@ struct Prescription {
 
 const char* PrescriptionProcedureName(Prescription::Procedure procedure);
 
+// The least ideal gain over plain PCP (Eqs. 5/7) for which a
+// stage-parallel procedure is worth its extra threads; below it added
+// parallelism is churn. The default of Prescribe and PrescribeFleet.
+inline constexpr double kMinParallelGain = 1.1;
+
 // Evaluates Eqs. 1-7 on `t` and picks the procedure §III-C prescribes:
 // a compute bottleneck wants C-PPCP at its Eq. 6 saturation k, an I/O
 // bottleneck wants S-PPCP at its Eq. 4 saturation k. A parallel variant
@@ -94,8 +99,8 @@ const char* PrescriptionProcedureName(Prescription::Procedure procedure);
 // (below that the model says added parallelism is churn); `max_k` caps
 // the saturation k (<= 0 = uncapped), and the gain is re-evaluated at the
 // capped k so an out-of-reach saturation point cannot justify a switch.
-Prescription Prescribe(const StepTimes& t, double min_gain = 1.1,
-                       int max_k = 0);
+Prescription Prescribe(const StepTimes& t,
+                       double min_gain = kMinParallelGain, int max_k = 0);
 
 // Fleet-wide resource pool the arbiter divides among concurrent
 // compactions. A lane is one unit of I/O parallelism (a stripe device in
@@ -125,9 +130,9 @@ struct FleetAllocation {
 // not beat PCP by `min_gain` is demoted back to the floor and its units
 // redistributed. If jobs.size() exceeds the budget's job bound the
 // overflow entries get k=0 allocations (caller must queue them).
-std::vector<FleetAllocation> PrescribeFleet(const std::vector<StepTimes>& jobs,
-                                            const FleetBudget& budget,
-                                            double min_gain = 1.1);
+std::vector<FleetAllocation> PrescribeFleet(
+    const std::vector<StepTimes>& jobs, const FleetBudget& budget,
+    double min_gain = kMinParallelGain);
 
 std::string Describe(const StepTimes& t);
 

@@ -9,8 +9,9 @@
 
 namespace pipelsm::shard {
 
-CompactionArbiter::CompactionArbiter(const ArbiterOptions& options)
-    : opts_(options) {
+CompactionArbiter::CompactionArbiter(const ArbiterOptions& options,
+                                     const ParallelismBounds& per_job)
+    : opts_(options), per_job_(per_job) {
   if (opts_.metrics != nullptr) {
     lanes_gauge_ = opts_.metrics->RegisterGauge(
         "arbiter.io_lanes_in_use", "fleet I/O lanes currently granted");
@@ -36,15 +37,20 @@ CompactionArbiter::~CompactionArbiter() = default;
 
 namespace {
 
-// The gain a job would claim running alone, at the arbiter's per-job
-// caps. Zero/garbage profiles prescribe the PCP floor (gain 1.0) — a
-// cold shard must not outrank warmed-up ones on NaN arithmetic.
-double SoloGain(const model::StepTimes& t, const ArbiterOptions& opts) {
+// What a job would be prescribed running alone, at the per-job caps.
+model::Prescription Solo(const model::StepTimes& t,
+                         const ParallelismBounds& per_job) {
+  const int cap = model::IsCpuBound(t) ? per_job.compute_workers
+                                       : per_job.stripe_width;
+  return model::Prescribe(t, model::kMinParallelGain, cap);
+}
+
+// The gain a job would claim running alone. Zero/garbage profiles
+// prescribe the PCP floor (gain 1.0) — a cold shard must not outrank
+// warmed-up ones on NaN arithmetic.
+double SoloGain(const model::StepTimes& t, const ParallelismBounds& per_job) {
   if (t.total() <= 0) return 1.0;
-  const int cap = model::IsCpuBound(t) ? opts.per_job_max_workers
-                                       : opts.per_job_max_lanes;
-  const model::Prescription p = model::Prescribe(t, opts.min_gain, cap);
-  return p.gain_vs_pcp;
+  return Solo(t, per_job).gain_vs_pcp;
 }
 
 CompactionMode ModeOf(model::Prescription::Procedure procedure) {
@@ -118,13 +124,13 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
     jobs.push_back(other.request.profile);
   }
   std::vector<model::FleetAllocation> alloc =
-      model::PrescribeFleet(jobs, free, opts_.min_gain);
+      model::PrescribeFleet(jobs, free);
   model::FleetAllocation mine = alloc[0];
-  if (opts_.per_job_max_lanes > 0) {
-    mine.lanes = std::min(mine.lanes, opts_.per_job_max_lanes);
+  if (per_job_.stripe_width > 0) {
+    mine.lanes = std::min(mine.lanes, per_job_.stripe_width);
   }
-  if (opts_.per_job_max_workers > 0) {
-    mine.workers = std::min(mine.workers, opts_.per_job_max_workers);
+  if (per_job_.compute_workers > 0) {
+    mine.workers = std::min(mine.workers, per_job_.compute_workers);
   }
   mine.prescription.k = std::max(mine.lanes, mine.workers);
 
@@ -146,11 +152,7 @@ CompactionGrant CompactionArbiter::GrantLocked(const Waiter& w) {
   // Shrink accounting: did the fleet hand out less than the job's solo
   // saturation k (at the same per-job caps)?
   if (w.request.profile.total() > 0) {
-    const int cap = model::IsCpuBound(w.request.profile)
-                        ? opts_.per_job_max_workers
-                        : opts_.per_job_max_lanes;
-    const model::Prescription solo =
-        model::Prescribe(w.request.profile, opts_.min_gain, cap);
+    const model::Prescription solo = Solo(w.request.profile, per_job_);
     if ((solo.procedure == model::Prescription::kSPPCP ||
          solo.procedure == model::Prescription::kCPPCP) &&
         g.k < solo.k) {
@@ -196,7 +198,7 @@ CompactionGrant CompactionArbiter::Admit(
   Waiter& me = waiters_[seq];
   me.seq = seq;
   me.request = request;
-  me.solo_gain = SoloGain(request.profile, opts_);
+  me.solo_gain = SoloGain(request.profile, per_job_);
   if (waiting_gauge_ != nullptr) {
     waiting_gauge_->Set(static_cast<int64_t>(waiters_.size()));
   }

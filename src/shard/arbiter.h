@@ -43,15 +43,6 @@ namespace pipelsm::shard {
 struct ArbiterOptions {
   model::FleetBudget budget;  // io_lanes=4, compute_workers=4
 
-  // Per-job ceilings on granted parallelism (<=0 = only the budget
-  // caps). Mirrors Options::max_stripe_width / max_compute_workers.
-  int per_job_max_lanes = 4;
-  int per_job_max_workers = 4;
-
-  // A stage-parallel upgrade must beat PCP by this ideal factor
-  // (Eqs. 5/7) to be worth fleet units.
-  double min_gain = 1.1;
-
   // Force-grant a waiter after it has been passed over this many times.
   int max_passovers = 3;
 
@@ -64,7 +55,10 @@ struct ArbiterOptions {
 
 class CompactionArbiter : public CompactionGovernor {
  public:
-  explicit CompactionArbiter(const ArbiterOptions& options);
+  // `per_job` caps one grant's lanes and workers on top of the budget
+  // (ShardedDB::Open passes MachineBounds; the default caps nothing).
+  explicit CompactionArbiter(const ArbiterOptions& options,
+                             const ParallelismBounds& per_job = {});
   ~CompactionArbiter() override;
 
   CompactionArbiter(const CompactionArbiter&) = delete;
@@ -115,6 +109,7 @@ class CompactionArbiter : public CompactionGovernor {
   CompactionGrant GrantLocked(const Waiter& w);
 
   const ArbiterOptions opts_;
+  const ParallelismBounds per_job_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -1,6 +1,6 @@
 // CompactionScheduler unit tests: the adaptive control loop must be a
 // pure function of the profile sequence it is fed — deterministic
-// prescriptions for a fixed profile, user bounds respected, hysteresis
+// prescriptions for a fixed profile, machine bounds respected, hysteresis
 // that refuses to flap on alternating profiles, and a JSON report that
 // parses (GetProperty("pipelsm.scheduler") is consumed by scripts).
 #include "src/compaction/scheduler.h"
@@ -9,8 +9,12 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/env/env.h"
+#include "src/env/fault_env.h"
+#include "src/env/sim_env.h"
 #include "src/model/model.h"
 #include "src/obs/metrics.h"
 #include "tests/obs/json_check.h"
@@ -231,38 +235,80 @@ TEST(CompactionScheduler, ToJsonParsesAndReportsCandidateStreak) {
   EXPECT_EQ(nullptr, steady.Find("candidate"));
 }
 
-// The host cap leaves one core for the foreground writer: at 1 or 2
-// cores no compute worker can be spared, so a CPU-bound profile stays on
-// PCP; at 8 cores k stops at 7 even when the model and the bounds allow
-// more.
-TEST(CompactionScheduler, HostCoresCapComputeWorkers) {
+// k's bounds come from the machine, as in the paper: S1 readers from the
+// Env's stripe count (the RAID0 width of Eq. 4), compute workers from the
+// host's cores minus the one left for the foreground writer (Eq. 6).
+TEST(CompactionScheduler, MachineBoundsCapParallelism) {
+  const model::StepTimes very_io_bound = Times(16e-3, 2e-3, 1e-3);  // k=8
   const model::StepTimes very_cpu_bound = Times(1e-3, 20e-3, 1e-3);  // k=20
-  for (int cores : {1, 2}) {
-    SchedulerOptions o = Adaptive();
-    o.host_cores = cores;
-    CompactionScheduler s(o, nullptr);
-    for (const model::StepTimes& t : {CpuBound(), very_cpu_bound}) {
+  Options options;
+  ASSERT_EQ(CompactionMode::kAuto, options.compaction_mode);
+  options.scheduler_hysteresis_jobs = 1;
+  options.scheduler_warmup_jobs = 0;
+
+  // A plain filesystem reports one stripe.
+  EXPECT_EQ(1, Env::Posix()->StripeCount());
+  EXPECT_EQ(1, SchedulerOptions::FromOptions(options).max_stripe_width);
+
+  // One stripe: extra S1 readers would only queue on the same channel,
+  // so an I/O-bound profile stays on PCP, never S-PPCP with k > 1.
+  SimEnv one_stripe(DeviceProfile::Ssd(1));
+  options.env = &one_stripe;
+  EXPECT_EQ(1, one_stripe.StripeCount());
+  {
+    CompactionScheduler s(SchedulerOptions::FromOptions(options), nullptr);
+    for (const model::StepTimes& t : {IoBound(), very_io_bound}) {
       const SchedulerDecision d = s.Admit(t, 10);
-      EXPECT_EQ(CompactionMode::kPCP, d.mode) << cores << " cores";
-      EXPECT_EQ(1, d.compute_parallelism) << cores << " cores";
+      EXPECT_EQ(CompactionMode::kPCP, d.mode) << d.rationale;
+      EXPECT_EQ(1, d.read_parallelism);
     }
   }
-  for (int max_workers : {4, 16}) {
-    SchedulerOptions o = Adaptive();
-    o.host_cores = 8;
-    o.max_compute_workers = max_workers;
-    CompactionScheduler s(o, nullptr);
-    const SchedulerDecision d = s.Admit(very_cpu_bound, 10);
-    EXPECT_EQ(CompactionMode::kCPPCP, d.mode);
-    EXPECT_EQ(std::min(max_workers, 7), d.compute_parallelism);
+
+  // Four stripes, bare or under FaultInjectionEnv: S-PPCP at k <= 4 even
+  // where Eq. 4 saturates at 8.
+  SimEnv four_stripes(DeviceProfile::Ssd(4));
+  FaultInjectionEnv faulty(&four_stripes);
+  for (Env* env : {static_cast<Env*>(&four_stripes),
+                   static_cast<Env*>(&faulty)}) {
+    EXPECT_EQ(4, env->StripeCount());
+    options.env = env;
+    CompactionScheduler s(SchedulerOptions::FromOptions(options), nullptr);
+    const SchedulerDecision d = s.Admit(very_io_bound, 10);
+    EXPECT_EQ(CompactionMode::kSPPCP, d.mode) << d.rationale;
+    EXPECT_EQ(4, d.read_parallelism);
   }
-  // The cap never touches an explicit mode's configured parallelism.
-  SchedulerOptions o;
-  o.static_mode = CompactionMode::kCPPCP;
-  o.static_compute_parallelism = 6;
-  o.host_cores = 2;
-  CompactionScheduler s(o, nullptr);
-  EXPECT_EQ(6, s.Admit(CpuBound(), 10).compute_parallelism);
+
+  // Compute workers: the host's cores minus one, at least 1. A host with
+  // no core to spare keeps a CPU-bound profile on PCP.
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  const ParallelismBounds machine = MachineBounds(&four_stripes);
+  EXPECT_EQ(std::max(1, cores - 1), machine.compute_workers);
+  EXPECT_EQ(4, machine.stripe_width);
+  {
+    CompactionScheduler s(SchedulerOptions::FromOptions(options), nullptr);
+    const SchedulerDecision d = s.Admit(very_cpu_bound, 10);
+    if (machine.compute_workers == 1) {
+      EXPECT_EQ(CompactionMode::kPCP, d.mode) << cores << " cores";
+    } else {
+      EXPECT_EQ(CompactionMode::kCPPCP, d.mode) << cores << " cores";
+    }
+    EXPECT_EQ(machine.compute_workers, d.compute_parallelism);
+  }
+  SchedulerOptions spare_none = Adaptive();
+  spare_none.max_compute_workers = 1;
+  CompactionScheduler s(spare_none, nullptr);
+  for (const model::StepTimes& t : {CpuBound(), very_cpu_bound}) {
+    const SchedulerDecision d = s.Admit(t, 10);
+    EXPECT_EQ(CompactionMode::kPCP, d.mode);
+    EXPECT_EQ(1, d.compute_parallelism);
+  }
+
+  // The bounds never touch an explicit mode's configured parallelism.
+  options.compaction_mode = CompactionMode::kCPPCP;
+  options.compute_parallelism = 6;
+  options.env = &one_stripe;
+  CompactionScheduler pinned(SchedulerOptions::FromOptions(options), nullptr);
+  EXPECT_EQ(6, pinned.Admit(very_cpu_bound, 10).compute_parallelism);
 }
 
 TEST(CompactionScheduler, FromOptionsDerivesAdaptiveFromMode) {
@@ -279,10 +325,6 @@ TEST(CompactionScheduler, FromOptionsDerivesAdaptiveFromMode) {
     EXPECT_FALSE(s.adaptive) << CompactionModeName(mode);
     EXPECT_EQ(mode, s.static_mode);
   }
-  // Slow-motion compute mostly sleeps: a 3x dilated run counts 3x cores.
-  const int cores = SchedulerOptions::FromOptions(Options()).host_cores;
-  options.compaction_time_dilation = 3.0;
-  EXPECT_EQ(3 * cores, SchedulerOptions::FromOptions(options).host_cores);
 }
 
 TEST(CompactionScheduler, ParseCompactionModeRoundTrips) {
@@ -311,22 +353,14 @@ TEST(CompactionScheduler, ParseCompactionModeRoundTrips) {
 TEST(CompactionScheduler, FromOptionsClampsDegenerateBounds) {
   Options options;
   options.compaction_mode = CompactionMode::kAuto;
-  options.min_compute_workers = 0;
-  options.max_compute_workers = -3;
-  options.min_stripe_width = 5;
-  options.max_stripe_width = 2;
   options.scheduler_hysteresis_jobs = 0;
   options.scheduler_warmup_jobs = -1;
-  options.scheduler_min_gain = 0.2;
   const SchedulerOptions s = SchedulerOptions::FromOptions(options);
   EXPECT_TRUE(s.adaptive);
-  EXPECT_EQ(1, s.min_compute_workers);
-  EXPECT_GE(s.max_compute_workers, s.min_compute_workers);
-  EXPECT_EQ(5, s.min_stripe_width);
-  EXPECT_GE(s.max_stripe_width, s.min_stripe_width);
+  EXPECT_GE(s.max_compute_workers, 1);
+  EXPECT_GE(s.max_stripe_width, 1);
   EXPECT_EQ(1, s.hysteresis_jobs);
   EXPECT_EQ(0, s.warmup_jobs);
-  EXPECT_GE(s.min_gain, 1.0);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/compaction/types.h"
 #include "src/db/db.h"
 #include "src/env/sim_env.h"
 #include "src/obs/event_listener.h"
@@ -76,23 +77,23 @@ class DecisionListener : public obs::EventListener {
 
 class AdaptiveDbTest : public ::testing::Test {
  protected:
-  AdaptiveDbTest() : env_(DeviceProfile::Ssd(4)) {
+  AdaptiveDbTest() : env_(DilatedProfile(DeviceProfile::Ssd(4), 1.0 / 3)) {
     options_.env = &env_;
     options_.create_if_missing = true;
     options_.compaction_mode = CompactionMode::kAuto;
-    options_.max_compute_workers = 4;
-    options_.max_stripe_width = 4;
     options_.scheduler_hysteresis_jobs = 2;
     options_.scheduler_warmup_jobs = 2;
-    options_.write_buffer_size = 16 << 10;
-    options_.max_file_size = 16 << 10;
-    options_.subtask_bytes = 16 << 10;
-    // Park the compute:I/O regime boundary between the two phases: on the
-    // SSD model phase 1 reads ~1.1 ms/sub-task and phase 2 ~3.5 ms, while
-    // undilated compute is ~0.8 ms and ~0.65 ms, so 3x dilation makes
-    // phase 1 compute-bound (2.3 vs 1.1) and phase 2 I/O-bound (1.9 vs
-    // 3.5) with ~2x margin either way against host-speed variation.
-    options_.compaction_time_dilation = 3.0;
+    // Park the compute:I/O regime boundary between the two phases, in
+    // real time on a device 3x faster than the SSD model. S1 pays a
+    // per-command cost that no device speed removes, one command per
+    // input table a sub-task touches, so the tables are large: with
+    // 32 KiB sub-tasks phase 1 measures ~0.7 ms of compute against
+    // ~0.43 ms of S1 (compute-bound) and phase 2 ~0.3 ms of compute
+    // against ~0.55 ms (I/O-bound, while its EMA still carries phase 1),
+    // a margin of ~1.7x either way against host-speed variation.
+    options_.write_buffer_size = 32 << 10;
+    options_.max_file_size = 1 << 20;
+    options_.subtask_bytes = 32 << 10;
     options_.listeners.push_back(&listener_);
   }
 

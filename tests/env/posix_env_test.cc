@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "src/env/env.h"
+#include "tests/temp_path.h"
 
 namespace pipelsm {
 namespace {
@@ -14,8 +15,7 @@ class PosixEnvTest : public ::testing::Test {
   // case's TearDown.
   void SetUp() override {
     env_ = Env::Posix();
-    dir_ = ::testing::TempDir() + "pipelsm_env_test_" +
-           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dir_ = testpath::TestTempPath("pipelsm_env_test_");
     env_->CreateDir(dir_);
   }
 

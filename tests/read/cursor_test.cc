@@ -18,6 +18,7 @@
 #include "src/obs/logger.h"
 #include "src/server/server.h"
 #include "src/shard/sharded_db.h"
+#include "tests/temp_path.h"
 
 namespace pipelsm::server {
 namespace {
@@ -25,8 +26,7 @@ namespace {
 class CursorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dbname_ = ::testing::TempDir() + "cursor_test_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dbname_ = testpath::TestTempPath("cursor_test_");
     log_path_ = dbname_ + ".LOG";
     options_.create_if_missing = true;
     options_.write_buffer_size = 64 << 10;

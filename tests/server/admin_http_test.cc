@@ -27,6 +27,7 @@
 #include "src/server/http.h"
 #include "src/server/server.h"
 #include "src/shard/sharded_db.h"
+#include "tests/temp_path.h"
 
 namespace pipelsm::server {
 namespace {
@@ -219,8 +220,7 @@ void CheckExpositionConformance(const std::string& text) {
 class AdminHttpTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dbname_ = ::testing::TempDir() + "admin_http_test_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dbname_ = testpath::TestTempPath("admin_http_test_");
     log_path_ = dbname_ + ".LOG";
     options_.create_if_missing = true;
     DestroyDB(dbname_, options_);

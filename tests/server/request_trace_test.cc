@@ -20,6 +20,7 @@
 #include "src/obs/logger.h"
 #include "src/obs/trace.h"
 #include "src/server/server.h"
+#include "tests/temp_path.h"
 
 namespace pipelsm::server {
 namespace {
@@ -39,8 +40,7 @@ long long EventField(const std::string& log, const std::string& marker,
 class RequestTraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dbname_ = ::testing::TempDir() + "request_trace_test_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dbname_ = testpath::TestTempPath("request_trace_test_");
     log_path_ = dbname_ + ".LOG";
     options_.create_if_missing = true;
     options_.env = &fault_;

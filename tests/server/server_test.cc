@@ -21,6 +21,7 @@
 #include "src/env/env.h"
 #include "src/obs/logger.h"
 #include "tests/obs/json_check.h"
+#include "tests/temp_path.h"
 
 namespace pipelsm::server {
 namespace {
@@ -28,8 +29,7 @@ namespace {
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dbname_ = ::testing::TempDir() + "server_test_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    dbname_ = testpath::TestTempPath("server_test_");
     log_path_ = dbname_ + ".LOG";
     options_.create_if_missing = true;
     DestroyDB(dbname_, options_);

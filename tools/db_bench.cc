@@ -43,8 +43,6 @@
 //                            to the value log (0 = off)
 //   --write_buffer_kb=N --file_kb=N --subtask_kb=N --block=N
 //   --compute_parallelism=N --io_parallelism=N --queue_depth=N
-//   --max_compute_workers=N --max_stripe_width=N
-//                            --compaction=auto bounds on the chosen k
 //   --hysteresis=N           consecutive agreeing admissions before the
 //                            scheduler switches executor
 //   --warmup_jobs=N          compactions digested before adapting
@@ -64,7 +62,6 @@
 //   --value_compressibility=X
 //                            fraction of each value that compresses away
 //                            (default 0.5; 0 = incompressible)
-//   --dilation=X             compaction slow-motion factor
 //   --histogram              print full latency histograms
 //   --trace_path=PATH        write a Chrome trace_event JSON of every
 //                            compaction/flush pipeline (load the file in
@@ -122,8 +119,6 @@ struct Flags {
   int compute_parallelism = 1;
   int io_parallelism = 1;
   size_t queue_depth = 4;
-  int max_compute_workers = 4;
-  int max_stripe_width = 4;
   int hysteresis = 3;
   int warmup_jobs = 2;
   int bloom_bits = 0;
@@ -135,7 +130,6 @@ struct Flags {
   std::string dist = "uniform";
   double zipf_theta = 0.99;
   double value_compressibility = 0.5;
-  double dilation = 1.0;
   bool histogram = false;
   uint32_t seed = 301;
   std::string trace_path;
@@ -217,11 +211,8 @@ class Benchmark {
     options_.compute_parallelism = flags_.compute_parallelism;
     options_.io_parallelism = flags_.io_parallelism;
     options_.pipeline_queue_depth = flags_.queue_depth;
-    options_.max_compute_workers = flags_.max_compute_workers;
-    options_.max_stripe_width = flags_.max_stripe_width;
     options_.scheduler_hysteresis_jobs = flags_.hysteresis;
     options_.scheduler_warmup_jobs = flags_.warmup_jobs;
-    options_.compaction_time_dilation = flags_.dilation;
     options_.value_separation_threshold = flags_.value_threshold;
     options_.trace_path = flags_.trace_path;
     options_.stats_dump_period_sec =
@@ -641,9 +632,6 @@ int main(int argc, char** argv) {
                      &flags.compute_parallelism) ||
         ParseNumFlag(argv[i], "io_parallelism", &flags.io_parallelism) ||
         ParseNumFlag(argv[i], "queue_depth", &flags.queue_depth) ||
-        ParseNumFlag(argv[i], "max_compute_workers",
-                     &flags.max_compute_workers) ||
-        ParseNumFlag(argv[i], "max_stripe_width", &flags.max_stripe_width) ||
         ParseNumFlag(argv[i], "hysteresis", &flags.hysteresis) ||
         ParseNumFlag(argv[i], "warmup_jobs", &flags.warmup_jobs) ||
         ParseNumFlag(argv[i], "bloom_bits", &flags.bloom_bits) ||
@@ -667,10 +655,6 @@ int main(int argc, char** argv) {
       continue;
     }
     std::string v;
-    if (ParseFlag(argv[i], "dilation", &v)) {
-      flags.dilation = std::atof(v.c_str());
-      continue;
-    }
     if (ParseFlag(argv[i], "value_compressibility", &v)) {
       flags.value_compressibility = std::atof(v.c_str());
       continue;
